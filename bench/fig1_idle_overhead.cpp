@@ -5,10 +5,13 @@
 // quantitative.  We build two activity timelines with identical total
 // work — one with scattered activations, one with the same activations
 // grouped back-to-back — and compare energy, C-state residency and the
-// idle-gap distribution.  CSV power traces suitable for plotting are
-// written next to the binary.
+// idle-gap distribution.  With PCPC_EXPORT_DIR set, CSV power traces
+// suitable for plotting are written into that directory, like every exp
+// report's tables.
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
+#include <string>
 #include <utility>
 
 #include "pcpc/common/table.hpp"
@@ -94,11 +97,15 @@ int main() {
               "(the premise of the paper's slot latching).\n",
               100.0 * (scattered_w - grouped_w) / scattered_w);
 
+  const char* directory = std::getenv("PCPC_EXPORT_DIR");
+  if (directory == nullptr || *directory == '\0') return 0;
+  const std::string dir = directory;
   const auto trace_s = sample_power(scattered_tl, params, microseconds(100));
   const auto trace_g = sample_power(grouped_tl, params, microseconds(100));
-  if (save_power_trace(trace_s, "fig1_scattered.csv") &&
-      save_power_trace(trace_g, "fig1_grouped.csv")) {
-    std::printf("Power traces written to fig1_scattered.csv / fig1_grouped.csv\n");
+  if (save_power_trace(trace_s, dir + "/fig1_scattered.csv") &&
+      save_power_trace(trace_g, dir + "/fig1_grouped.csv")) {
+    std::printf("Power traces written to %s/fig1_scattered.csv / fig1_grouped.csv\n",
+                directory);
   }
   return 0;
 }

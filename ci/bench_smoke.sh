@@ -20,9 +20,11 @@
 # bench with exporters armed so the trace/metrics plumbing on the thread
 # host stays exercised.
 #
-# Every gate appends one JSON line to BENCH_<gate>.json at the repo
-# root — timestamp, git sha, and the gate's headline numbers — so the
-# benches keep a trajectory across commits instead of only gating.
+# Every gate appends one JSON line to <build>/bench_smoke/BENCH_<gate>.json
+# — timestamp, git sha, core count (nproc, the host fingerprint) and the
+# gate's headline numbers — so the benches keep a trajectory across runs
+# instead of only gating, without touching the committed BENCH_*.json
+# history at the repo root.
 #
 # Usage: ci/bench_smoke.sh [build-dir]     (default: build)
 set -euo pipefail
@@ -34,9 +36,11 @@ mkdir -p "${out}"
 
 stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+cores="$(nproc)"
 # record <gate> <json-fields>: append one trajectory line for this run.
 record() {
-  printf '{"utc":"%s","git":"%s",%s}\n' "${stamp}" "${sha}" "$2" >> "BENCH_$1.json"
+  printf '{"utc":"%s","git":"%s","nproc":%s,%s}\n' "${stamp}" "${sha}" "${cores}" "$2" \
+    >> "${out}/BENCH_$1.json"
 }
 
 if [[ ! -x "${build}/bench/obs_overhead" ]]; then
@@ -159,9 +163,9 @@ done
 echo "=== trajectory files: every BENCH_*.json line must parse ==="
 # Malformed lines (a gate interpolating an empty capture, a half-written
 # record from a crashed run) silently poison the trajectory history, so
-# validate every line of every trajectory file: it must parse as one
-# JSON object carrying at least utc/git/pass keys.
-python3 - BENCH_*.json <<'PY'
+# validate every line of every trajectory file, committed and new: it
+# must parse as one JSON object carrying at least utc/git/pass keys.
+python3 - BENCH_*.json "${out}"/BENCH_*.json <<'PY'
 import json, sys
 
 bad = 0

@@ -16,8 +16,9 @@ prefix="${1:-build-san}"
 # The suites worth the sanitizer slowdown: every test that spawns real
 # threads or drives the fault injector.  IpcCrash forks real producer
 # processes — it self-skips under TSan (fork + shm atomics are outside
-# TSan's model) and runs fully under ASan/UBSan.
-suite_regex='ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|QueueDifferential|QueueFuzz|IpcCrash|ObsIpc|ObsAttribution|Registry|TraceRing|Session|WakeupLedger|Fleet|example_chaos_demo|example_live_threads'
+# TSan's model) and runs fully under ASan/UBSan.  example_pcpc_cli_payload
+# drives the thread host's varlen record plane (produce_record).
+suite_regex='ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|QueueDifferential|QueueFuzz|IpcCrash|ObsIpc|ObsAttribution|Registry|TraceRing|Session|WakeupLedger|Fleet|Planner|example_chaos_demo|example_live_threads|example_pcpc_cli_payload'
 
 run_pass() {
   local name="$1" sanitize="$2"
@@ -31,7 +32,7 @@ run_pass() {
              test_runtime_sharding test_fleet \
              test_fuzz_pbpl test_elastic_buffer test_obs test_obs_ledger \
              test_queue_differential test_queue_fuzz test_ipc_crash \
-             test_obs_ipc chaos_demo live_threads
+             test_obs_ipc test_planner chaos_demo live_threads pcpc_cli
   echo "=== ${name}: test ==="
   ctest --test-dir "${dir}" --output-on-failure -R "${suite_regex}"
 }

@@ -328,7 +328,8 @@ class VarRingBase {
         // Multi-producer rings gate the consumer on the claimed (not
         // committed) tail, so a claim whose header is not yet written
         // must read as kFree — zero what we release before any producer
-        // can re-claim it (ordered by the admission counter handshake).
+        // can re-claim it (the producer acquires the released cursor
+        // below before writing, see VarMpscRing::try_reserve).
         std::memset(cell_ptr(pos_of(h)), 0, static_cast<std::size_t>(fp));
       }
       h += fp;
@@ -731,6 +732,13 @@ class VarMpscRing
     }
     for (;;) {
       const std::uint64_t t = tail_.fetch_add(need, std::memory_order_relaxed);
+      // Admission keeps tail − head inside the physical margin, so these
+      // bytes' previous occupant is already released — but our credit may
+      // predate that release (admission and ticket are separate FAAs).
+      // Acquiring the released cursor orders the consumer's zeroing of
+      // the bytes before our writes; in practice it never spins.
+      while (this->head_bytes() + this->n_bytes_ < t + need) {
+      }
       const std::size_t pos = this->pos_of(t);
       if (pos + need <= this->n_bytes_) {
         this->word_ref(pos).store(

@@ -4,16 +4,18 @@
 // onto std::thread: one manager thread per core sleeps with
 // condition_variable::wait_until on the next *reserved* slot, wakes,
 // drains every consumer registered for that slot, runs each consumer's
-// predict→reserve→resize pipeline, and goes back to sleep.  Producers
-// push from their own threads; a full buffer first borrows pool segments
-// and only then falls back to the configured overflow policy.
+// core::Planner (predict → reserve → resize), and goes back to sleep.
+// Producers push from their own threads; a full buffer first borrows
+// pool segments and only then falls back to the configured overflow
+// policy.
 //
-// The decision logic (SlotTrack, ReservationTable, choose_slot, the
-// predictors, the elastic pool) is byte-for-byte the same code the
+// The decision logic (core::Planner over SlotTrack, ReservationTable,
+// choose_slot, the predictors and the elastic pool) is the same code the
 // simulation host runs — this file only supplies the threading shell,
 // plus the overload hardening the simulation host cannot exercise:
-// configurable overflow policies, a per-core deadline watchdog, the
-// live LatencyGuard, and pcpc::fault injection hooks.
+// configurable overflow policies (one slow path serves both the item and
+// the varlen record plane), a per-core deadline watchdog, the live
+// LatencyGuard, and pcpc::fault injection hooks.
 //
 // Sharding (Section V-B: one core manager per core, disjoint consumer
 // sets): every Core owns its mutex, its condition variables, its
@@ -44,9 +46,7 @@
 #include "pcpc/common/latency_recorder.hpp"
 #include "pcpc/common/stats.hpp"
 #include "pcpc/core/config.hpp"
-#include "pcpc/core/cost.hpp"
-#include "pcpc/core/latency_guard.hpp"
-#include "pcpc/core/rate_predictor.hpp"
+#include "pcpc/core/planner.hpp"
 #include "pcpc/core/reservation.hpp"
 #include "pcpc/core/slot_track.hpp"
 #include "pcpc/fault/fault_injector.hpp"
@@ -253,6 +253,8 @@ class ThreadPbpl {
   struct Core;
 
   struct Consumer {
+    Consumer(std::size_t i, const core::PbplConfig& config) : index(i), planner(config) {}
+
     std::size_t index = 0;
     /// Owning core.  Atomic because fleet migration retargets it while
     /// producers read it lock-free: a producer entering the slow path
@@ -270,10 +272,7 @@ class ThreadPbpl {
     /// views pin the ring's released cursor, and release must stay on
     /// the manager that claimed them).
     bool var_inflight = false;
-    std::unique_ptr<core::RatePredictor> predictor;
-    std::optional<core::LatencyGuard> guard;  // live latency feedback
-    SimTime last_invocation = 0;
-    std::size_t last_batch = 1;
+    core::Planner planner;  // predictor + live latency guard
     std::uint64_t overflow_requests = 0;  // pending forced drains (0 or 1)
     /// Sampled item-lifecycle spans (positional 1-in-N): producers claim
     /// admission sequence numbers here; the manager counts drained
@@ -342,21 +341,14 @@ class ThreadPbpl {
   void unpark(Core& core);
   void push_one(Consumer& consumer);
   void push_volley(Consumer& consumer, std::size_t items);
-  /// Runs the overflow slow path for one item with `core`'s lock held
-  /// (`core` must be the consumer's owner, verified under the lock).
-  /// Returns true when the item is fully accounted (stored or counted as
-  /// a drop); false when a blocked wait observed the consumer migrating
-  /// away — the caller re-resolves the owner and retries on it.
-  bool push_one_slow_locked(Core& core, Consumer& consumer, Clock::time_point stamp,
-                            std::unique_lock<std::mutex>& lock);
-  /// Varlen analogue of push_one_slow_locked: makes space per the
-  /// overflow policy at record granularity and retries the reserve.
-  /// Returns true when the record is accounted — `reserved` says whether
-  /// `out` holds a claim (true) or the record was counted as a drop
-  /// (false); returns false on the migration retry, like the item path.
-  bool reserve_slow_locked(Core& core, Consumer& consumer, std::uint32_t record_bytes,
-                           queue::VarReservation& out, bool& reserved,
-                           std::unique_lock<std::mutex>& lock);
+  /// Overflow slow path for one item or record (`plane` adapts the
+  /// item or the varlen plane, see thread_pbpl.cpp): locks the owning
+  /// core, retries admission, applies the pre-emptive borrow and the
+  /// overflow policy, and starts over on the new owner when a blocked
+  /// wait sees the consumer migrate away.  Returns true when the plane
+  /// admitted the item, false when it was counted as a drop.
+  template <typename Plane>
+  bool admit_slow(Consumer& consumer, Plane& plane);
   /// Drains `consumer` (bulk pops), records stats into the core shard and
   /// makes the next reservation — all under the core lock.  The handler
   /// call is queued on core.pending for run_handlers().
@@ -370,11 +362,6 @@ class ThreadPbpl {
   /// and other cores may do anything — while a handler runs.
   void run_handlers(Core& core, std::unique_lock<std::mutex>& lock);
   void make_reservation_locked(Core& core, Consumer& consumer, SimTime now);
-
-  /// Leading stamp word of every in-ring record: the enqueue timestamp
-  /// (steady-clock ns), written at commit, read once at drain for the
-  /// latency account.  Handlers see the payload AFTER this word.
-  static constexpr std::size_t kStampBytes = 8;
 
   /// Per-record footprint budget used to translate the item-denominated
   /// control plane (predictor capacity, resize targets) into ring bytes:

@@ -1,7 +1,6 @@
 #include "pcpc/core/consumer.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "pcpc/common/assert.hpp"
 #include "pcpc/obs/obs.hpp"
@@ -16,13 +15,12 @@ PbplConsumer::PbplConsumer(ConsumerId id, CoreManager& manager,
       config_(config),
       buffer_(queue::make_pool_handoff<SimTime>(config.queue_backend, pool,
                                                 static_cast<std::uint32_t>(id))),
-      predictor_(make_predictor(config.predictor, config.predictor_window)) {
-  if (config.latency_guard) guard_.emplace(config.max_latency);
+      planner_(config) {
   manager_->register_consumer(id_, this);
 }
 
 void PbplConsumer::start(SimTime now) {
-  last_invocation_ = now;
+  planner_.start(now);
   make_reservation(now);
 }
 
@@ -76,7 +74,7 @@ SimDuration PbplConsumer::on_invoked(SimTime now, bool scheduled) {
   const std::size_t batch = buffer_->drain([&](SimTime item) {
     const SimDuration latency = now - item;
     stats_.latency_s.add(to_seconds(latency));
-    if (guard_) guard_->observe(latency);
+    planner_.observe_latency(latency);
     if (span_every != 0) {
       const std::uint64_t seq = span_drain_seq_++;
       if (seq == span_next_drain_) {
@@ -90,21 +88,12 @@ SimDuration PbplConsumer::on_invoked(SimTime now, bool scheduled) {
     obs::note_item_stage(static_cast<std::uint32_t>(id_), manager_->core_id(), item,
                          obs::ItemStage::kDrainStart, now);
   }
-  if (guard_) {
-    guard_->end_batch();
-    stats_.latency_violations = guard_->violations();
-  }
   stats_.items += batch;
   stats_.batch_sizes.add(static_cast<double>(batch));
   ++stats_.invocations;
-  if (batch > 0) last_batch_ = batch;
 
-  // 2. Update prediction with the observed rate
-  //    r_j = |γ(τ_{j-1}, τ_j)| / (τ_j − τ_{j-1}).
-  if (now > last_invocation_) {
-    predictor_->observe(static_cast<double>(batch) / to_seconds(now - last_invocation_));
-    last_invocation_ = now;
-  }
+  // 2. Update the guard and the prediction with the observed batch.
+  stats_.latency_violations += planner_.end_batch(now, batch);
 
   // 3. Reserve the next slot (and resize the buffer for it).
   make_reservation(now);
@@ -132,53 +121,15 @@ void PbplConsumer::rebind(CoreManager& next, SimTime now) {
 }
 
 void PbplConsumer::make_reservation(SimTime now) {
-  const double rate = predictor_->predict();
-
   // Prospective capacity: with dynamic resizing the consumer may plan for
   // everything the pool could lend it right now (the paper's upsizing
   // bound Bg − ΣB_q applied before the slot search, so a high-rate
   // consumer can pick a slot "that can support its expected rate").
   std::size_t capacity = buffer_->capacity();
   if (config_.dynamic_resize) capacity += pool_.free_slots();
-  capacity = std::max<std::size_t>(capacity, 1);
-
-  SlotQuery query{now, rate, capacity, config_.max_latency, config_.fill_tolerance};
-  if (guard_) {
-    // Feedback control: a violated deadline shrinks both the fill horizon
-    // and the zero-rate poll horizon until the latency profile recovers.
-    query.fill_tolerance *= guard_->horizon_scale();
-    query.max_latency = std::max<SimDuration>(
-        config_.resolved_slot_size(),
-        static_cast<SimDuration>(static_cast<double>(config_.max_latency) *
-                                 guard_->horizon_scale()));
-  }
-  SlotChoice choice = config_.latching
-                          ? choose_slot(manager_->track(), manager_->reservations(), query,
-                                        config_.costs)
-                          : fill_slot(manager_->track(), query, config_.costs);
-
-  if (config_.dynamic_resize && choice.expected_items > 0.0) {
-    // Downsize to (or upsize toward) the predicted batch plus headroom:
-    //   B_i = headroom · r̂·(τ_next − τ_now), clamped by the pool
-    //   (Section V-C).  Floored at the last real batch so a lagging
-    //   moving average cannot shrink the buffer below what the producer
-    //   demonstrably delivers (that feedback loop turns one burst into an
-    //   overflow cascade).  A zero prediction skips resizing entirely —
-    //   no information is no reason to give the space back.
-    const auto target = static_cast<std::size_t>(
-        std::ceil(choice.expected_items * config_.resize_headroom));
-    const std::size_t granted =
-        buffer_->resize(std::max<std::size_t>(target, last_batch_));
-    if (static_cast<double>(granted) < choice.expected_items) {
-      // The pool could not lend enough: re-choose with what we actually
-      // hold, which pulls the reservation earlier.
-      query.buffer_capacity = granted;
-      choice = config_.latching
-                   ? choose_slot(manager_->track(), manager_->reservations(), query,
-                                 config_.costs)
-                   : fill_slot(manager_->track(), query, config_.costs);
-    }
-  }
+  const SlotChoice choice =
+      planner_.plan(now, manager_->track(), manager_->reservations(), capacity,
+                    [this](std::size_t target) { return buffer_->resize(target); });
 
   manager_->reserve(id_, choice.slot);
   ++stats_.reservations;

@@ -1,7 +1,6 @@
 #include "pcpc/runtime/thread_pbpl.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -14,6 +13,11 @@ namespace pcpc::runtime {
 
 namespace {
 constexpr core::SlotIndex kMinSlot = std::numeric_limits<core::SlotIndex>::min();
+
+/// Leading stamp word of every in-ring record: the enqueue timestamp
+/// (steady-clock ns), written at commit, read once at drain for the
+/// latency account.  Handlers see the payload AFTER this word.
+constexpr std::size_t kStampBytes = 8;
 
 /// Sampled-span item id: the pair in the high half, the item's admission
 /// position in the low half.  The drain side reconstructs the same id
@@ -31,6 +35,64 @@ Clock::time_point record_stamp(const std::byte* data) {
   return Clock::time_point(
       std::chrono::duration_cast<Clock::duration>(std::chrono::nanoseconds(ns)));
 }
+
+// The two planes ThreadPbpl::admit_slow runs the overflow policies over.
+// Each offers: admit (retry the store), borrow (grow by the pre-emptive
+// step, then admit), evict_oldest (drop the head, reporting its payload
+// bytes), pinned (eviction cannot free space right now) and
+// dropped_bytes (payload bytes lost when the incoming one is dropped).
+
+/// One timestamp item over the consumer's Handoff.
+struct ItemPlane {
+  queue::Handoff<Clock::time_point>& buffer;
+  Clock::time_point stamp;
+
+  bool admit() { return buffer.try_push(stamp); }
+  bool borrow() {
+    buffer.resize(buffer.capacity() + std::max<std::size_t>(1, buffer.capacity() / 4));
+    return admit();
+  }
+  bool evict_oldest(std::uint64_t& /*bytes*/) { return buffer.try_pop().has_value(); }
+  // Evicting under the lock is exact on the Mutex backend; on a lock-free
+  // one a concurrent producer can steal the freed admission, so the
+  // caller retries a bounded number of evictions.
+  bool pinned() const { return false; }
+  std::uint64_t dropped_bytes() const { return 0; }
+};
+
+/// One varlen record claim over the consumer's VarHandoff; a successful
+/// admit leaves the claim in `res`.
+struct RecordPlane {
+  queue::VarHandoff& var;
+  /// Consumer::var_inflight: zero-copy views from the last drain are
+  /// still out with the handlers and pin the ring's released cursor.
+  const bool& inflight;
+  std::uint32_t record_bytes;  ///< payload + stamp word
+  std::size_t record_budget;
+  queue::VarReservation res{};
+
+  bool admit() { return var.try_reserve(record_bytes, res); }
+  // The varlen plane has no segment pool: the borrow grows the ring
+  // toward its global bound, at least one worst-case record.
+  bool borrow() {
+    const std::size_t cap = var.capacity_bytes();
+    var.resize_bytes(cap + std::max(record_budget, cap / 4));
+    return admit();
+  }
+  // drop_oldest only *marks* the head record reclaimed; its bytes return
+  // to producers at a release, which is safe here under the
+  // consumer-side lock unless views are inflight.
+  bool evict_oldest(std::uint64_t& bytes) {
+    std::uint64_t footprint = 0;
+    std::uint32_t payload = 0;
+    const bool dropped = var.drop_oldest(footprint, payload);
+    if (dropped) bytes = payload - kStampBytes;
+    if (!inflight) var.release_until(var.claim_offset());
+    return dropped;
+  }
+  bool pinned() const { return inflight; }
+  std::uint64_t dropped_bytes() const { return record_bytes - kStampBytes; }
+};
 }  // namespace
 
 ThreadPbpl::ThreadPbpl(std::size_t consumers, const core::PbplConfig& config,
@@ -73,8 +135,7 @@ ThreadPbpl::ThreadPbpl(std::size_t consumers, const core::PbplConfig& config,
   record_budget_ = static_cast<std::size_t>(
       queue::var_record_bytes(config.payload_max_bytes + kStampBytes));
   for (std::size_t i = 0; i < consumers; ++i) {
-    auto consumer = std::make_unique<Consumer>();
-    consumer->index = i;
+    auto consumer = std::make_unique<Consumer>(i, config_);
     Core* home = cores_[i % cores_.size()].get();
     consumer->core.store(home, std::memory_order_relaxed);
     consumer->buffer = queue::make_pool_handoff<Clock::time_point>(
@@ -92,8 +153,6 @@ ThreadPbpl::ThreadPbpl(std::size_t consumers, const core::PbplConfig& config,
           config.queue_backend, base, base * consumers,
           static_cast<std::uint32_t>(config.payload_max_bytes + kStampBytes));
     }
-    consumer->predictor = core::make_predictor(config.predictor, config.predictor_window);
-    if (config.latency_guard) consumer->guard.emplace(config.max_latency);
     home->consumers.push_back(consumer.get());
     consumers_.push_back(std::move(consumer));
   }
@@ -118,7 +177,7 @@ ThreadPbpl::ThreadPbpl(std::size_t consumers, const core::PbplConfig& config,
     std::unique_lock lock(core->mutex);
     const SimTime now = now_ns();
     for (Consumer* consumer : core->consumers) {
-      consumer->last_invocation = now;
+      consumer->planner.start(now);
       make_reservation_locked(*core, *consumer, now);
     }
   }
@@ -284,16 +343,8 @@ void ThreadPbpl::push_one(Consumer& consumer) {
     }
     return;
   }
-  // Slow path: resolve the owning core, lock it, and re-check ownership
-  // under the lock — a concurrent migration retargets consumer.core
-  // before touching destination state, so a stale owner is detected here
-  // and the push retries on the new one.
-  for (;;) {
-    Core* core = consumer.core.load(std::memory_order_acquire);
-    std::unique_lock lock(core->mutex);
-    if (consumer.core.load(std::memory_order_relaxed) != core) continue;
-    if (push_one_slow_locked(*core, consumer, stamp, lock)) break;
-  }
+  ItemPlane plane{*consumer.buffer, stamp};
+  admit_slow(consumer, plane);
   if (span) {
     obs::note_item_stage(static_cast<std::uint32_t>(consumer.index), core_hint, span_id,
                          obs::ItemStage::kEnqueue, now_ns());
@@ -329,15 +380,9 @@ void ThreadPbpl::push_volley(Consumer& consumer, std::size_t items) {
       accepted = consumer.buffer->try_push_bulk(
           std::span<const Clock::time_point>(chunk, n));
     }
-    if (accepted < n) {
-      for (std::size_t i = accepted; i < n; ++i) {
-        for (;;) {
-          Core* core = consumer.core.load(std::memory_order_acquire);
-          std::unique_lock lock(core->mutex);
-          if (consumer.core.load(std::memory_order_relaxed) != core) continue;
-          if (push_one_slow_locked(*core, consumer, chunk[i], lock)) break;
-        }
-      }
+    for (std::size_t i = accepted; i < n; ++i) {
+      ItemPlane plane{*consumer.buffer, chunk[i]};
+      admit_slow(consumer, plane);
     }
     if (span_every != 0) {
       // Volley items are admitted back-to-back; sampled ones get produce
@@ -358,101 +403,97 @@ void ThreadPbpl::push_volley(Consumer& consumer, std::size_t items) {
   }
 }
 
-bool ThreadPbpl::push_one_slow_locked(Core& core, Consumer& consumer,
-                                      Clock::time_point stamp,
-                                      std::unique_lock<std::mutex>& lock) {
-  if (!running_.load(std::memory_order_relaxed)) {
+template <typename Plane>
+bool ThreadPbpl::admit_slow(Consumer& consumer, Plane& plane) {
+  // Resolve the owning core, lock it, and re-check ownership under the
+  // lock — a concurrent migration retargets consumer.core before touching
+  // destination state, so a stale owner is detected here and the
+  // admission retries on the new one.
+  for (;;) {
+    Core* owner = consumer.core.load(std::memory_order_acquire);
+    std::unique_lock lock(owner->mutex);
+    if (consumer.core.load(std::memory_order_relaxed) != owner) continue;
+    Core& core = *owner;
+    const auto drop = [&](std::uint64_t& counter, obs::DropPath path) {
+      ++counter;
+      core.stats.dropped_bytes += plane.dropped_bytes();
+      obs::note_drop(static_cast<std::uint32_t>(consumer.index), path, now_ns());
+      return false;
+    };
     // The runtime already stopped: nothing will ever drain this item.
     // Count it instead of losing it silently.
-    ++core.stats.dropped_on_stop;
-    obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kOnStop,
-                   now_ns());
-    return true;
-  }
-  if (consumer.buffer->try_push(stamp)) return true;
+    if (!running_.load(std::memory_order_relaxed)) {
+      return drop(core.stats.dropped_on_stop, obs::DropPath::kOnStop);
+    }
+    if (plane.admit()) return true;
 
-  // Pre-emptive borrow: EmergencyBorrow always tries the pool first, and
-  // the legacy emergency_borrow flag keeps its "borrow before waking"
-  // semantics under every policy.
-  if (config_.overflow_policy == core::OverflowPolicy::EmergencyBorrow ||
-      config_.emergency_borrow) {
-    const std::size_t extra = std::max<std::size_t>(1, consumer.buffer->capacity() / 4);
-    consumer.buffer->resize(consumer.buffer->capacity() + extra);
-    if (consumer.buffer->try_push(stamp)) {
+    // Pre-emptive borrow: EmergencyBorrow always tries it first, and the
+    // legacy emergency_borrow flag keeps its "borrow before waking"
+    // semantics under every policy.
+    if ((config_.overflow_policy == core::OverflowPolicy::EmergencyBorrow ||
+         config_.emergency_borrow) &&
+        plane.borrow()) {
       ++core.stats.emergency_borrows;
       obs::note_overflow(static_cast<std::uint16_t>(core.index),
                          static_cast<std::uint32_t>(consumer.index),
                          obs::OverflowAction::kEmergencyBorrow, now_ns());
       return true;
     }
-  }
 
-  switch (config_.overflow_policy) {
-    case core::OverflowPolicy::DropOldest: {
-      // Evict-then-insert.  With the Mutex backend the first iteration
-      // always succeeds (evicting under the lock is exact).  With a
-      // lock-free backend, concurrent producers can steal the freed
-      // admission between our pop and push, so retry a bounded number of
-      // evictions and fall back to rejecting the incoming item — every
-      // branch keeps produced == items + dropped() exact.
-      for (int attempt = 0; attempt < 16; ++attempt) {
-        if (consumer.buffer->try_pop().has_value()) {
-          ++core.stats.dropped_oldest;
-          obs::note_drop(static_cast<std::uint32_t>(consumer.index),
-                         obs::DropPath::kOldest, now_ns());
+    switch (config_.overflow_policy) {
+      case core::OverflowPolicy::DropOldest:
+        // Evict-then-admit, a bounded number of times; when eviction
+        // cannot make room, reject the incoming one instead — every
+        // branch keeps produced == items + dropped() exact.
+        for (int attempt = 0; attempt < 16; ++attempt) {
+          std::uint64_t bytes = 0;
+          if (plane.evict_oldest(bytes)) {
+            ++core.stats.dropped_oldest;
+            core.stats.dropped_bytes += bytes;
+            obs::note_drop(static_cast<std::uint32_t>(consumer.index),
+                           obs::DropPath::kOldest, now_ns());
+          }
+          if (plane.admit()) return true;
+          if (plane.pinned()) break;
         }
-        if (consumer.buffer->try_push(stamp)) return true;
-      }
-      ++core.stats.dropped_newest;
-      obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kNewest,
-                     now_ns());
-      return true;
+        return drop(core.stats.dropped_newest, obs::DropPath::kNewest);
+      case core::OverflowPolicy::DropNewest:
+        return drop(core.stats.dropped_newest, obs::DropPath::kNewest);
+      case core::OverflowPolicy::Block:
+      case core::OverflowPolicy::EmergencyBorrow:
+        // Forced drain: hand the wakeup to the owning core's manager and
+        // wait for space (this is the unscheduled overflow wakeup).  The
+        // request is raised once per outstanding drain — a spurious wake
+        // of this producer must not be double-counted as a second
+        // overflow — and re-armed only after the manager consumed the
+        // previous one.  running_ is re-checked BEFORE every retry: a
+        // producer woken by stop() may reacquire the lock after the final
+        // drain already emptied the buffer, and an admission at that
+        // point would land where nothing will ever drain again.  Varlen
+        // space frees only when run_handlers releases the drained views,
+        // which is where that plane's wake comes from.
+        do {
+          if (!running_.load(std::memory_order_relaxed)) {
+            return drop(core.stats.dropped_on_stop, obs::DropPath::kOnStop);
+          }
+          if (plane.admit()) return true;
+          if (consumer.overflow_requests == 0) {
+            ++consumer.overflow_requests;
+            core.overflow_pending = true;
+            obs::note_overflow(static_cast<std::uint16_t>(core.index),
+                               static_cast<std::uint32_t>(consumer.index),
+                               obs::OverflowAction::kForcedDrain, now_ns());
+            core.cv.notify_all();
+          }
+          core.producer_cv.wait(lock);
+        } while (consumer.core.load(std::memory_order_relaxed) == &core);
+        // Migrated away while we slept (migrate() wakes this cv).  The
+        // outstanding overflow request travelled with the consumer — the
+        // destination's manager will consume it — so don't re-raise it;
+        // just retry against the new owner.
+        break;
     }
-    case core::OverflowPolicy::DropNewest:
-      ++core.stats.dropped_newest;
-      obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kNewest,
-                     now_ns());
-      return true;
-    case core::OverflowPolicy::Block:
-    case core::OverflowPolicy::EmergencyBorrow:
-      // Forced drain: hand the wakeup to the owning core's manager and
-      // wait for space (this is the unscheduled overflow wakeup).  The
-      // request is raised once per outstanding drain — a spurious wake of
-      // this producer must not be double-counted as a second overflow —
-      // and re-armed only after the manager consumed the previous one.
-      // running_ is re-checked BEFORE every push retry: a producer woken
-      // by stop() may reacquire the lock after the final drain already
-      // emptied the buffer, and a successful push at that point would
-      // land in a buffer nothing will ever drain again.
-      for (;;) {
-        if (!running_.load(std::memory_order_relaxed)) {
-          // stop() raced our wait; the manager is gone and the final
-          // drain will not see this item.  Account the loss.
-          ++core.stats.dropped_on_stop;
-          obs::note_drop(static_cast<std::uint32_t>(consumer.index),
-                         obs::DropPath::kOnStop, now_ns());
-          return true;
-        }
-        if (consumer.buffer->try_push(stamp)) return true;
-        if (consumer.overflow_requests == 0) {
-          ++consumer.overflow_requests;
-          core.overflow_pending = true;
-          obs::note_overflow(static_cast<std::uint16_t>(core.index),
-                             static_cast<std::uint32_t>(consumer.index),
-                             obs::OverflowAction::kForcedDrain, now_ns());
-          core.cv.notify_all();
-        }
-        core.producer_cv.wait(lock);
-        if (consumer.core.load(std::memory_order_relaxed) != &core) {
-          // Migrated away while we slept (migrate() wakes this cv).  The
-          // outstanding overflow request travelled with the consumer —
-          // the destination's manager will consume it — so don't re-raise
-          // here; just retry the push against the new owner.
-          return false;
-        }
-      }
   }
-  return true;
 }
 
 void ThreadPbpl::produce_record(std::size_t consumer, std::span<const std::byte> payload) {
@@ -470,23 +511,14 @@ std::optional<ThreadPbpl::RecordRef> ThreadPbpl::reserve_record(
   PCPC_ASSERT_MSG(bytes <= config_.payload_max_bytes, "payload above payload_max_bytes");
   produced_.fetch_add(1, std::memory_order_relaxed);
   produced_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  const auto record_bytes = static_cast<std::uint32_t>(bytes + kStampBytes);
-  queue::VarReservation res;
+  RecordPlane plane{*consumer.var, consumer.var_inflight,
+                    static_cast<std::uint32_t>(bytes + kStampBytes), record_budget_};
   // Lock-free fast path, like push_one: a successful reserve on an
   // SPSC/MPSC ring never touches any runtime lock.
-  if (consumer.var->lock_free() && running_.load(std::memory_order_acquire) &&
-      consumer.var->try_reserve(record_bytes, res)) {
-    return RecordRef{std::span<std::byte>(res.data + kStampBytes, bytes), res};
-  }
-  bool reserved = false;
-  for (;;) {
-    Core* core = consumer.core.load(std::memory_order_acquire);
-    std::unique_lock lock(core->mutex);
-    if (consumer.core.load(std::memory_order_relaxed) != core) continue;
-    if (reserve_slow_locked(*core, consumer, record_bytes, res, reserved, lock)) break;
-  }
-  if (!reserved) return std::nullopt;
-  return RecordRef{std::span<std::byte>(res.data + kStampBytes, bytes), res};
+  const bool fast = consumer.var->lock_free() &&
+                    running_.load(std::memory_order_acquire) && plane.admit();
+  if (!fast && !admit_slow(consumer, plane)) return std::nullopt;
+  return RecordRef{std::span<std::byte>(plane.res.data + kStampBytes, bytes), plane.res};
 }
 
 void ThreadPbpl::commit_record(std::size_t consumer_index, RecordRef& ref) {
@@ -527,114 +559,6 @@ void ThreadPbpl::commit_record(std::size_t consumer_index, RecordRef& ref) {
                            obs::ItemStage::kEnqueue, ts);
     }
   }
-}
-
-bool ThreadPbpl::reserve_slow_locked(Core& core, Consumer& consumer,
-                                     std::uint32_t record_bytes,
-                                     queue::VarReservation& out, bool& reserved,
-                                     std::unique_lock<std::mutex>& lock) {
-  const std::uint64_t payload = record_bytes - kStampBytes;
-  reserved = false;
-  if (!running_.load(std::memory_order_relaxed)) {
-    ++core.stats.dropped_on_stop;
-    core.stats.dropped_bytes += payload;
-    obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kOnStop,
-                   now_ns());
-    return true;
-  }
-  if (consumer.var->try_reserve(record_bytes, out)) {
-    reserved = true;
-    return true;
-  }
-
-  // Pre-emptive borrow, at byte granularity: the varlen plane has no
-  // segment pool, so the borrow grows the ring toward its global bound.
-  if (config_.overflow_policy == core::OverflowPolicy::EmergencyBorrow ||
-      config_.emergency_borrow) {
-    const std::size_t cap = consumer.var->capacity_bytes();
-    consumer.var->resize_bytes(cap + std::max(record_budget_, cap / 4));
-    if (consumer.var->try_reserve(record_bytes, out)) {
-      ++core.stats.emergency_borrows;
-      obs::note_overflow(static_cast<std::uint16_t>(core.index),
-                         static_cast<std::uint32_t>(consumer.index),
-                         obs::OverflowAction::kEmergencyBorrow, now_ns());
-      reserved = true;
-      return true;
-    }
-  }
-
-  switch (config_.overflow_policy) {
-    case core::OverflowPolicy::DropOldest: {
-      // Evict-then-reserve at record granularity.  drop_oldest only
-      // *marks* the head record reclaimed (advancing the claim cursor);
-      // the bytes return to producers at a release — which we can do
-      // right here, under the consumer-side lock, UNLESS zero-copy views
-      // from the last drain are still out with the handlers (they pin
-      // the released cursor).  In that case eviction cannot free space
-      // in time, so reject the incoming record — every branch keeps the
-      // produced == items + dropped() identity exact.
-      for (int attempt = 0; attempt < 16; ++attempt) {
-        std::uint64_t footprint = 0;
-        std::uint32_t dropped_payload = 0;
-        if (consumer.var->drop_oldest(footprint, dropped_payload)) {
-          ++core.stats.dropped_oldest;
-          core.stats.dropped_bytes += dropped_payload - kStampBytes;
-          obs::note_drop(static_cast<std::uint32_t>(consumer.index),
-                         obs::DropPath::kOldest, now_ns());
-        }
-        if (!consumer.var_inflight) {
-          consumer.var->release_until(consumer.var->claim_offset());
-        }
-        if (consumer.var->try_reserve(record_bytes, out)) {
-          reserved = true;
-          return true;
-        }
-        if (consumer.var_inflight) break;
-      }
-      ++core.stats.dropped_newest;
-      core.stats.dropped_bytes += payload;
-      obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kNewest,
-                     now_ns());
-      return true;
-    }
-    case core::OverflowPolicy::DropNewest:
-      ++core.stats.dropped_newest;
-      core.stats.dropped_bytes += payload;
-      obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kNewest,
-                     now_ns());
-      return true;
-    case core::OverflowPolicy::Block:
-    case core::OverflowPolicy::EmergencyBorrow:
-      // Forced drain + wait, exactly like the item path.  Space frees
-      // only once run_handlers releases the drained views, which is
-      // where the wake comes from.
-      for (;;) {
-        if (!running_.load(std::memory_order_relaxed)) {
-          ++core.stats.dropped_on_stop;
-          core.stats.dropped_bytes += payload;
-          obs::note_drop(static_cast<std::uint32_t>(consumer.index),
-                         obs::DropPath::kOnStop, now_ns());
-          return true;
-        }
-        if (consumer.var->try_reserve(record_bytes, out)) {
-          reserved = true;
-          return true;
-        }
-        if (consumer.overflow_requests == 0) {
-          ++consumer.overflow_requests;
-          core.overflow_pending = true;
-          obs::note_overflow(static_cast<std::uint16_t>(core.index),
-                             static_cast<std::uint32_t>(consumer.index),
-                             obs::OverflowAction::kForcedDrain, now_ns());
-          core.cv.notify_all();
-        }
-        core.producer_cv.wait(lock);
-        if (consumer.core.load(std::memory_order_relaxed) != &core) {
-          return false;  // migrated away; retry on the new owner
-        }
-      }
-  }
-  return true;
 }
 
 ThreadPbplStats ThreadPbpl::stats() {
@@ -926,30 +850,28 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, SimTime now,
                    static_cast<std::uint32_t>(consumer.index), slot, paid, scheduled,
                    now);
   const auto drained_at = Clock::now();
-  const std::uint64_t violations_before =
-      consumer.guard ? consumer.guard->violations() : 0;
   // Positional span sampling, consumer side: count drained positions and
   // reconstruct the sampled producer ids.  The drain-start stamp shares
   // `now` with the note_wakeup above, so the fold's wake join (inclusive
   // ≤ bound) attributes these spans to exactly this wakeup.
   const std::uint64_t span_every = obs::span_sample_every();
   std::vector<std::uint64_t> sampled;
-  // Bulk drain: chunked pop_bulk instead of one virtual try_pop per item
-  // (and, on the lock-free backends, one head publication per chunk).
-  const std::size_t batch = consumer.buffer->drain([&](Clock::time_point stamp) {
+  // Per drained item or record: latency account, guard feed, span id.
+  const auto account = [&](Clock::time_point stamp) {
     const auto latency = drained_at - stamp;
     core.stats.latency_s.add(std::chrono::duration<double>(latency).count());
-    if (consumer.guard) {
-      consumer.guard->observe(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count());
-    }
+    consumer.planner.observe_latency(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count());
     if (span_every != 0) {
       const std::uint64_t seq = consumer.span_drain_seq++;
       if (seq % span_every == 0) {
         sampled.push_back(span_item_id(consumer.index, seq));
       }
     }
-  });
+  };
+  // Bulk drain: chunked pop_bulk instead of one virtual try_pop per item
+  // (and, on the lock-free backends, one head publication per chunk).
+  const std::size_t batch = consumer.buffer->drain(account);
   // Varlen plane: claim every committed record as a zero-copy view (the
   // scatter-free drain).  Claiming under the lock is cheap — no bytes
   // move; the handler reads the views outside the lock in run_handlers,
@@ -960,18 +882,7 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, SimTime now,
   if (consumer.var != nullptr) {
     while (auto view = consumer.var->claim_front()) {
       PCPC_ASSERT_MSG(view->size >= kStampBytes, "runtime record below stamp size");
-      const auto latency = drained_at - record_stamp(view->data);
-      core.stats.latency_s.add(std::chrono::duration<double>(latency).count());
-      if (consumer.guard) {
-        consumer.guard->observe(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count());
-      }
-      if (span_every != 0) {
-        const std::uint64_t seq = consumer.span_drain_seq++;
-        if (seq % span_every == 0) {
-          sampled.push_back(span_item_id(consumer.index, seq));
-        }
-      }
+      account(record_stamp(view->data));
       record_payload += view->size - kStampBytes;
       records.push_back(*view);
     }
@@ -984,23 +895,13 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, SimTime now,
                          static_cast<std::uint16_t>(core.index), id,
                          obs::ItemStage::kDrainStart, now);
   }
-  if (consumer.guard) {
-    consumer.guard->end_batch();
-    core.stats.latency_violations += consumer.guard->violations() - violations_before;
-  }
+  core.stats.latency_violations += consumer.planner.end_batch(now, total);
   core.stats.items += total;
   core.stats.consumed_bytes += record_payload;
   core.stats.batch_sizes.add(static_cast<double>(total));
   ++core.stats.invocations;
-  if (total > 0) consumer.last_batch = total;
   // Lock-free view for the fleet thread's rate measurement.
   consumer.drained_items.fetch_add(total, std::memory_order_relaxed);
-
-  if (now > consumer.last_invocation) {
-    consumer.predictor->observe(static_cast<double>(total) /
-                                to_seconds(now - consumer.last_invocation));
-    consumer.last_invocation = now;
-  }
 
   make_reservation_locked(core, consumer, now);
   core.pending.push_back({&consumer, total, slot, now, drained_at, std::move(sampled),
@@ -1063,7 +964,6 @@ void ThreadPbpl::run_handlers(Core& core, std::unique_lock<std::mutex>& lock) {
 }
 
 void ThreadPbpl::make_reservation_locked(Core& core, Consumer& consumer, SimTime now) {
-  const double rate = consumer.predictor->predict();
   // With the varlen plane armed, records ARE the items the control
   // plane schedules around: translate the ring's byte capacity into
   // worst-case records (the budget covers payload_max plus the stamp).
@@ -1074,39 +974,12 @@ void ThreadPbpl::make_reservation_locked(Core& core, Consumer& consumer, SimTime
     capacity = consumer.buffer->capacity();
     if (config_.dynamic_resize) capacity += pool_.free_slots();
   }
-  capacity = std::max<std::size_t>(capacity, 1);
-
-  core::SlotQuery query{now, rate, capacity, config_.max_latency,
-                        config_.fill_tolerance};
-  if (consumer.guard) {
-    // Live latency feedback (mirrors the simulation host): a violated
-    // batch shrinks both the fill horizon and the zero-rate poll horizon
-    // so overload tightens reservations instead of breaking the bound.
-    const double scale = consumer.guard->horizon_scale();
-    query.fill_tolerance *= scale;
-    query.max_latency = std::max<SimDuration>(
-        config_.resolved_slot_size(),
-        static_cast<SimDuration>(static_cast<double>(config_.max_latency) * scale));
-  }
-  core::SlotChoice choice =
-      config_.latching ? core::choose_slot(track_, core.reservations, query, config_.costs)
-                       : core::fill_slot(track_, query, config_.costs);
-
-  if (config_.dynamic_resize && choice.expected_items > 0.0) {
-    const auto target = static_cast<std::size_t>(
-        std::ceil(choice.expected_items * config_.resize_headroom));
-    const std::size_t want = std::max<std::size_t>(target, consumer.last_batch);
-    const std::size_t granted =
-        consumer.var != nullptr
-            ? consumer.var->resize_bytes(want * record_budget_) / record_budget_
-            : consumer.buffer->resize(want);
-    if (static_cast<double>(granted) < choice.expected_items) {
-      query.buffer_capacity = granted;
-      choice = config_.latching
-                   ? core::choose_slot(track_, core.reservations, query, config_.costs)
-                   : core::fill_slot(track_, query, config_.costs);
-    }
-  }
+  const core::SlotChoice choice = consumer.planner.plan(
+      now, track_, core.reservations, capacity, [&](std::size_t want) {
+        return consumer.var != nullptr
+                   ? consumer.var->resize_bytes(want * record_budget_) / record_budget_
+                   : consumer.buffer->resize(want);
+      });
 
   core.reservations.reserve(static_cast<core::ConsumerId>(consumer.index), choice.slot);
   ++core.stats.reservations;

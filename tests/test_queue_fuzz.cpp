@@ -362,6 +362,57 @@ TEST(QueueFuzz, VarlenMpscSpinningProducersLoseNothingUntorn) {
   }
 }
 
+// The tightest legal MPSC ring: logical capacity is the physical size
+// minus the four-record margin, records are tiny and producers outnumber
+// cores.  A producer descheduled between its admission and its position
+// claim then lands on bytes the consumer released (and zeroed) after
+// that admission: its writes must still be ordered after the zeroing
+// (TSan reports a data race otherwise), and every record must arrive
+// whole, once, in per-producer order.
+TEST(QueueFuzz, VarlenMpscTightMarginClaimsFollowTheRelease) {
+  constexpr std::uint32_t kMaxPayload = 16;
+  constexpr std::size_t kPhysical = 1024;
+  const std::size_t max_bytes = kPhysical - 4 * var_record_bytes(kMaxPayload);
+  ASSERT_EQ(VarMpscRing<>::placement_bytes(max_bytes, kMaxPayload), kPhysical);
+  VarMpscRing<> ring(max_bytes, max_bytes, kMaxPayload);
+  constexpr std::uint64_t kProducers = 8;
+  constexpr std::uint64_t kItems = 20000;
+  std::vector<std::thread> threads;
+  for (std::uint64_t p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&ring, p] {
+      for (std::uint64_t i = 0; i < kItems; ++i) {
+        const auto size = static_cast<std::uint32_t>(8 + (i + p) % (kMaxPayload - 7));
+        VarReservation r;
+        while (!ring.try_reserve(size, r)) std::this_thread::yield();
+        const std::uint64_t id = tag(p, i);
+        std::memcpy(r.data, &id, sizeof(id));
+        var_fill(r.data, size, id, /*from=*/8);
+        const bool committed = ring.commit(r);
+        PCPC_ASSERT_MSG(committed, "no reaper in-process: commit must win");
+      }
+    });
+  }
+  std::map<std::uint64_t, std::uint64_t> next_seq;
+  std::uint64_t consumed = 0;
+  while (consumed < kProducers * kItems) {
+    const std::size_t n = ring.drain(
+        [&](std::span<const std::byte> payload) {
+          ASSERT_GE(payload.size(), 8u);
+          std::uint64_t id = 0;
+          std::memcpy(&id, payload.data(), sizeof(id));
+          check_tagged(next_seq, id, /*strict=*/true);
+          ASSERT_TRUE(var_matches(payload.data(),
+                                  static_cast<std::uint32_t>(payload.size()), id,
+                                  /*from=*/8));
+        },
+        /*max_records=*/1);
+    if (n == 0) std::this_thread::yield();
+    consumed += n;
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(ring.size_bytes(), 0u);
+}
+
 TEST(QueueFuzz, VarlenSpscByteExactFifoUnderCapacityFlapping) {
   const std::size_t floor_bytes = var_record_bytes(kVarMaxPayload);
   for (std::uint64_t trial = 0; trial < 6; ++trial) {
