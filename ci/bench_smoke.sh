@@ -21,8 +21,9 @@
 # host stays exercised.
 #
 # Every gate appends one JSON line to <build>/bench_smoke/BENCH_<gate>.json
-# — timestamp, git sha, core count (nproc, the host fingerprint) and the
-# gate's headline numbers — so the benches keep a trajectory across runs
+# — timestamp, git sha, the host fingerprint (core count, compiler id and
+# version, build type) and the gate's headline numbers — so the benches
+# keep a trajectory across runs
 # instead of only gating, without touching the committed BENCH_*.json
 # history at the repo root.
 #
@@ -37,9 +38,19 @@ mkdir -p "${out}"
 stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 cores="$(nproc)"
+# The build tree's compiler and build type.  The compiler id and version
+# are not cache entries: CMake records them per tree in
+# CMakeFiles/<cmake-version>/CMakeCXXCompiler.cmake.
+compiler_var() {
+  cat "${build}"/CMakeFiles/*/CMakeCXXCompiler.cmake 2>/dev/null |
+    sed -n "s/^set($1 \"\(.*\)\")$/\1/p" | head -1
+}
+compiler="$(compiler_var CMAKE_CXX_COMPILER_ID) $(compiler_var CMAKE_CXX_COMPILER_VERSION)"
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "${build}/CMakeCache.txt" 2>/dev/null | head -1)"
 # record <gate> <json-fields>: append one trajectory line for this run.
 record() {
-  printf '{"utc":"%s","git":"%s","nproc":%s,%s}\n' "${stamp}" "${sha}" "${cores}" "$2" \
+  printf '{"utc":"%s","git":"%s","nproc":%s,"compiler":"%s","build_type":"%s",%s}\n' \
+    "${stamp}" "${sha}" "${cores}" "${compiler}" "${build_type}" "$2" \
     >> "${out}/BENCH_$1.json"
 }
 

@@ -16,9 +16,10 @@
 //     wake counter identically, not statistically.
 //
 // Failure semantics (the contract the kill-chaos harness checks):
-//   - SIGKILLed producer: consumer detects it (heartbeat stale + pid
-//     probe), reclaims its in-flight lease and any hole it left, and
-//     keeps draining — never wedges.
+//   - SIGKILLed producer: consumer detects it (heartbeat stale + the
+//     peer's pidfd reporting termination, see detail::PeerWatch),
+//     reclaims its in-flight lease and any hole it left, and keeps
+//     draining — never wedges.
 //   - SIGSTOPped producer: alive by definition; its lease is honored and
 //     the consumer stalls on that slot until SIGCONT (strict order is
 //     part of the differential contract, not negotiable under stop).
@@ -45,10 +46,55 @@ namespace pcpc::ipc {
 /// CLOCK_MONOTONIC in nanoseconds (shared timebase for heartbeats/leases).
 std::int64_t now_ns();
 
-/// Liveness probe: false when `pid` is gone OR a zombie (SIGKILLed
-/// children stay zombies until the parent reaps them; for lease purposes
-/// a zombie is dead — it will never publish again).
+/// Stateless liveness probe by pid number: `kill(pid, 0)` plus a
+/// `/proc/<pid>/stat` zombie check.  False when `pid` is gone OR a zombie
+/// (SIGKILLed children stay zombies until the parent reaps them; for
+/// lease purposes a zombie is dead — it will never publish again).  A
+/// recycled pid reads alive.  The endpoints probe through
+/// detail::PeerWatch and reach this only as its fallback.
 bool pid_alive(std::int32_t pid);
+
+namespace detail {
+
+/// One endpoint's handle on one peer process: a pidfd (`pidfd_open(2)`)
+/// for the registry incarnation (pid, epoch) it was opened for.  A pidfd
+/// polls readable once its process has terminated, zombie included, so
+/// alive() is a zero-timeout poll() instead of a /proc parse — and the fd
+/// pins the process: a dead peer whose pid the kernel hands to a new
+/// process still reads dead.  If `pidfd_open` fails with ESRCH the peer
+/// is already dead; on any other failure (ENOSYS, EMFILE, EPERM, ...)
+/// alive() answers pid_alive(pid()).  Move-only; the destructor closes
+/// the fd.  A default watch watches pid 0, which reads dead.
+class PeerWatch {
+ public:
+  PeerWatch() = default;
+  ~PeerWatch();
+  PeerWatch(PeerWatch&& other) noexcept;
+  PeerWatch& operator=(PeerWatch&& other) noexcept;
+  PeerWatch(const PeerWatch&) = delete;
+  PeerWatch& operator=(const PeerWatch&) = delete;
+
+  /// Points the watch at registry incarnation (pid, epoch).  A no-op when
+  /// it already watches exactly that pair; otherwise closes the old fd
+  /// and opens one for `pid`.
+  void watch(std::int32_t pid, std::uint64_t epoch);
+
+  /// False once the watched process has terminated (zombies included).
+  bool alive() const;
+
+  std::int32_t pid() const { return pid_; }
+  std::uint64_t epoch() const { return epoch_; }
+
+ private:
+  void close();
+
+  int fd_ = -1;       ///< the pidfd; -1 when not open (fallback or gone)
+  bool gone_ = false; ///< pidfd_open reported ESRCH: dead for good
+  std::int32_t pid_ = 0;
+  std::uint64_t epoch_ = 0;
+};
+
+}  // namespace detail
 
 /// Channel geometry + protocol timing, fixed at creation.
 struct ChannelConfig {
@@ -253,10 +299,11 @@ class Consumer {
   WakeKind wait(std::int64_t timeout_ns);
 
   /// Dead-peer detection: marks producers with stale heartbeats whose
-  /// pid is gone as dead, drains their telemetry rings, sweeps the whole
-  /// ring for their leases (reclaiming each), folds their counters
-  /// (including telemetry cells) into the retired tallies, and frees
-  /// their registry slots for reuse.  Returns the number of peers reaped.
+  /// process has terminated as dead, drains their telemetry rings, sweeps
+  /// the whole ring for their leases (reclaiming each), folds their
+  /// counters (including telemetry cells) into the retired tallies, and
+  /// frees their registry slots for reuse.  Returns the number of peers
+  /// reaped.
   std::size_t reap();
 
   /// Drains every producer's shm trace ring into the local obs::Session
@@ -281,6 +328,9 @@ class Consumer {
   bool try_recover_head(std::uint64_t h, IpcSlot& slot, std::uint64_t seq);
   std::size_t drain_peer_telemetry(std::size_t idx);
   void maybe_heartbeat();
+  /// The watch on registry slot `idx`, re-keyed to the slot's current
+  /// (pid, epoch) — reopened when a new incarnation joined the slot.
+  detail::PeerWatch& producer_watch(std::size_t idx);
 
   ShmSegment segment_;
   ChannelHeader* hdr_ = nullptr;
@@ -292,6 +342,7 @@ class Consumer {
   std::int64_t hole_since_ns_ = 0;
   std::int64_t last_heartbeat_ns_ = 0;
   std::uint64_t span_every_ = 0;  ///< cached hdr_->span_sample_every
+  std::array<detail::PeerWatch, kMaxProducers> watches_;  ///< one per registry slot
 };
 
 /// One producing endpoint.  Attaches to an existing channel (with the
@@ -356,6 +407,7 @@ class Producer {
   std::int64_t last_heartbeat_ns_ = 0;
   std::uint64_t span_every_ = 0;  ///< cached hdr_->span_sample_every
   std::function<void(CrashPoint)> crash_hook_;
+  detail::PeerWatch consumer_watch_;  ///< opened in attach()
 };
 
 }  // namespace pcpc::ipc

@@ -34,8 +34,10 @@
 //     reclaimed with CAS(t -> t+N) — safe against a live-but-slow
 //     producer, whose lease CAS then fails (counted lease_lost);
 //   - a *locked* slot is reclaimed only when its owner is provably dead
-//     (registry heartbeat stale AND the pid is gone) — a SIGSTOPped
-//     producer is alive, keeps its lease, and resumes cleanly;
+//     (registry heartbeat stale AND its process has terminated, read off
+//     the consumer's pidfd for that registry incarnation, so a recycled
+//     pid cannot pass for the dead owner) — a SIGSTOPped producer is
+//     alive, keeps its lease, and resumes cleanly;
 //   - when the reaper declares a producer dead it sweeps the whole ring
 //     for that owner's leases (they may sit anywhere, not just at head)
 //     before the registry slot can be reused — the role the per-slot
@@ -100,12 +102,14 @@ enum PeerState : std::uint32_t {
 
 /// One peer (producer or consumer) in the registry.  `heartbeat_ns` is
 /// CLOCK_MONOTONIC and refreshed by the peer's own loop; the reaper
-/// declares a peer dead only when the heartbeat is stale AND the pid is
-/// gone (a SIGSTOPped peer is stale but alive — suspended, not dead).
+/// declares a peer dead only when the heartbeat is stale AND the process
+/// has terminated, zombie included (a SIGSTOPped peer is stale but alive
+/// — suspended, not dead).  The watcher keys its pidfd on (pid, epoch),
+/// so each incarnation of a slot is probed through its own fd.
 struct alignas(64) PeerSlot {
   std::atomic<std::uint32_t> state{kPeerFree};
   std::atomic<std::int32_t> pid{0};
-  std::atomic<std::uint64_t> epoch{0};  ///< incarnation counter (diagnostics)
+  std::atomic<std::uint64_t> epoch{0};  ///< incarnation counter (keys the pidfd watch)
   std::atomic<std::int64_t> heartbeat_ns{0};
   std::atomic<std::uint64_t> pushed{0};      ///< completed (acknowledged) publishes
   std::atomic<std::uint64_t> dropped{0};     ///< counted rejects (full / consumer dead)

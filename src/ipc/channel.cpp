@@ -1,6 +1,8 @@
 #include "pcpc/ipc/channel.hpp"
 
+#include <poll.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -11,6 +13,7 @@
 #include <cstring>
 #include <new>
 #include <thread>
+#include <utility>
 
 #include "pcpc/common/assert.hpp"
 #include "pcpc/common/logging.hpp"
@@ -50,6 +53,58 @@ bool pid_alive(std::int32_t pid) {
   return true;
 #endif
 }
+
+namespace detail {
+
+PeerWatch::~PeerWatch() { close(); }
+
+PeerWatch::PeerWatch(PeerWatch&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), gone_(std::exchange(other.gone_, false)),
+      pid_(std::exchange(other.pid_, 0)), epoch_(std::exchange(other.epoch_, 0)) {}
+
+PeerWatch& PeerWatch::operator=(PeerWatch&& other) noexcept {
+  if (this != &other) {
+    close();
+    fd_ = std::exchange(other.fd_, -1);
+    gone_ = std::exchange(other.gone_, false);
+    pid_ = std::exchange(other.pid_, 0);
+    epoch_ = std::exchange(other.epoch_, 0);
+  }
+  return *this;
+}
+
+void PeerWatch::close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  gone_ = false;
+}
+
+void PeerWatch::watch(std::int32_t pid, std::uint64_t epoch) {
+  if (pid == pid_ && epoch == epoch_) return;
+  close();
+  pid_ = pid;
+  epoch_ = epoch;
+  if (pid <= 0) return;
+#if defined(SYS_pidfd_open)
+  const long fd = ::syscall(SYS_pidfd_open, pid, 0);
+  if (fd >= 0) {
+    fd_ = static_cast<int>(fd);
+  } else {
+    gone_ = errno == ESRCH;
+  }
+#endif
+}
+
+bool PeerWatch::alive() const {
+  if (gone_) return false;
+  if (fd_ < 0) return pid_alive(pid_);
+  pollfd pfd{fd_, POLLIN, 0};
+  const int ready = ::poll(&pfd, 1, 0);
+  if (ready < 0) return pid_alive(pid_);
+  return ready == 0;
+}
+
+}  // namespace detail
 
 const char* push_result_name(PushResult r) {
   switch (r) {
@@ -148,14 +203,15 @@ void join_peer(PeerSlot& peer, std::uint64_t epoch) {
 }
 
 /// Dead for lease purposes: not Active in the registry, or Active with a
-/// stale heartbeat and a gone pid.  A stale-but-alive peer (SIGSTOP) is
-/// NOT dead.
-bool peer_dead(const PeerSlot& peer, std::int64_t timeout_ns) {
+/// stale heartbeat and a terminated process (asked of `watch`, which
+/// watches `peer`).  A stale-but-alive peer (SIGSTOP) is NOT dead.
+bool peer_dead(const PeerSlot& peer, std::int64_t timeout_ns,
+               const detail::PeerWatch& watch) {
   const std::uint32_t state = peer.state.load(std::memory_order_acquire);
   if (state != kPeerActive) return true;
   const std::int64_t hb = peer.heartbeat_ns.load(std::memory_order_acquire);
   if (now_ns() - hb <= timeout_ns) return false;
-  return !pid_alive(peer.pid.load(std::memory_order_acquire));
+  return !watch.alive();
 }
 
 }  // namespace
@@ -175,7 +231,8 @@ Consumer::Consumer(Consumer&& other) noexcept
     : segment_(std::move(other.segment_)), hdr_(other.hdr_), slots_(other.slots_),
       var_rings_(other.var_rings_), hole_ticket_(other.hole_ticket_),
       hole_since_ns_(other.hole_since_ns_),
-      last_heartbeat_ns_(other.last_heartbeat_ns_), span_every_(other.span_every_) {
+      last_heartbeat_ns_(other.last_heartbeat_ns_), span_every_(other.span_every_),
+      watches_(std::move(other.watches_)) {
   other.hdr_ = nullptr;
   other.slots_ = nullptr;
   other.var_rings_.fill(nullptr);
@@ -276,10 +333,9 @@ bool Consumer::try_recover_head(std::uint64_t h, IpcSlot& slot, std::uint64_t se
     // reclaim only on proof of death.
     const std::size_t owner = seq_owner(seq);
     PCPC_ASSERT_MSG(owner < kMaxProducers, "lease owner out of range");
-    const PeerSlot& peer = hdr_->producers[owner];
-    const std::uint32_t state = peer.state.load(std::memory_order_acquire);
-    if (state == kPeerActive &&
-        pid_alive(peer.pid.load(std::memory_order_acquire))) {
+    const std::uint32_t state =
+        hdr_->producers[owner].state.load(std::memory_order_acquire);
+    if (state == kPeerActive && producer_watch(owner).alive()) {
       return false;  // alive: wait for publish (or the reaper, later)
     }
     // Owner dead or already reaped: the lease can never be published.
@@ -338,6 +394,14 @@ std::size_t Consumer::drain_telemetry() {
   return n;
 }
 
+detail::PeerWatch& Consumer::producer_watch(std::size_t idx) {
+  const PeerSlot& peer = hdr_->producers[idx];
+  detail::PeerWatch& watch = watches_[idx];
+  watch.watch(peer.pid.load(std::memory_order_acquire),
+              peer.epoch.load(std::memory_order_acquire));
+  return watch;
+}
+
 std::size_t Consumer::reap() {
   const std::int64_t timeout = hdr_->heartbeat_timeout_ns;
   std::size_t reaped = 0;
@@ -345,13 +409,14 @@ std::size_t Consumer::reap() {
     PeerSlot& peer = hdr_->producers[idx];
     if (peer.state.load(std::memory_order_acquire) != kPeerActive) continue;
     const std::int64_t hb = peer.heartbeat_ns.load(std::memory_order_acquire);
-    const std::int32_t pid = peer.pid.load(std::memory_order_acquire);
-    if (now_ns() - hb <= timeout || pid_alive(pid)) continue;
+    const detail::PeerWatch& watch = producer_watch(idx);
+    if (now_ns() - hb <= timeout || watch.alive()) continue;
+    const std::int32_t pid = watch.pid();
 
-    // Provably dead: stale heartbeat AND the pid is gone.  Sweep every
-    // lease it holds anywhere in the ring (not just at head) before the
-    // registry slot becomes reusable — a recycled index must never be
-    // blamed for a dead predecessor's lease.
+    // Provably dead: stale heartbeat AND the process has terminated.
+    // Sweep every lease it holds anywhere in the ring (not just at head)
+    // before the registry slot becomes reusable — a recycled index must
+    // never be blamed for a dead predecessor's lease.
     peer.state.store(kPeerDead, std::memory_order_release);
     std::size_t swept = 0;
     for (std::uint64_t p = 0; p < hdr_->n_slots; ++p) {
@@ -438,7 +503,8 @@ Producer::Producer(Producer&& other) noexcept
     : segment_(std::move(other.segment_)), hdr_(other.hdr_), slots_(other.slots_),
       ring_(other.ring_), index_(other.index_), config_(other.config_),
       last_heartbeat_ns_(other.last_heartbeat_ns_), span_every_(other.span_every_),
-      crash_hook_(std::move(other.crash_hook_)) {
+      crash_hook_(std::move(other.crash_hook_)),
+      consumer_watch_(std::move(other.consumer_watch_)) {
   other.hdr_ = nullptr;
   other.slots_ = nullptr;
   other.ring_ = nullptr;
@@ -457,6 +523,7 @@ Producer& Producer::operator=(Producer&& other) noexcept {
     last_heartbeat_ns_ = other.last_heartbeat_ns_;
     span_every_ = other.span_every_;
     crash_hook_ = std::move(other.crash_hook_);
+    consumer_watch_ = std::move(other.consumer_watch_);
     other.hdr_ = nullptr;
     other.slots_ = nullptr;
     other.ring_ = nullptr;
@@ -492,7 +559,12 @@ std::optional<Producer> Producer::attach(const std::string& shm_name,
     }
     return std::nullopt;
   }
-  if (peer_dead(hdr->consumer_peer, hdr->heartbeat_timeout_ns)) {
+  // The consumer's registry slot is written once, by create(), so the
+  // watch opened here serves every later liveness check of this producer.
+  detail::PeerWatch consumer_watch;
+  consumer_watch.watch(hdr->consumer_peer.pid.load(std::memory_order_acquire),
+                       hdr->consumer_peer.epoch.load(std::memory_order_acquire));
+  if (peer_dead(hdr->consumer_peer, hdr->heartbeat_timeout_ns, consumer_watch)) {
     if (error != nullptr) {
       *error = "attach(" + shm_name + "): consumer is dead";
     }
@@ -524,6 +596,7 @@ std::optional<Producer> Producer::attach(const std::string& shm_name,
   p.config_ = config;
   p.last_heartbeat_ns_ = now_ns();
   p.span_every_ = hdr->span_sample_every;
+  p.consumer_watch_ = std::move(consumer_watch);
   if (hdr->payload_ring_bytes > 0) {
     // Adopt this registry slot's byte ring: stamp our identity into
     // future record headers and rebuild the producer-private cursors
@@ -547,7 +620,7 @@ void Producer::maybe_heartbeat() {
 }
 
 bool Producer::consumer_dead() const {
-  return peer_dead(hdr_->consumer_peer, hdr_->heartbeat_timeout_ns);
+  return peer_dead(hdr_->consumer_peer, hdr_->heartbeat_timeout_ns, consumer_watch_);
 }
 
 void Producer::ring_doorbell() {
@@ -624,8 +697,8 @@ PushResult Producer::push(std::uint64_t value) {
   if (!slot.seq.compare_exchange_strong(expected, t + 1,
                                         std::memory_order_acq_rel)) {
     // Swept mid-publish: only possible if the consumer proved us dead
-    // (pid probe raced a pid it mistook for gone).  Count and report
-    // rather than corrupt the next revolution with a blind store.
+    // (a fallback pid_alive probe mistook our pid for gone).  Count and
+    // report rather than corrupt the next revolution with a blind store.
     me.lease_lost.fetch_add(1, std::memory_order_relaxed);
     return PushResult::kLeaseLost;
   }
