@@ -2,9 +2,10 @@
 //
 // The lock-free backends exist to make the hand-off cheaper, so the build
 // gate is the obvious one: on the single-producer shape the SPSC ring
-// must not be slower than the seed's mutex-guarded buffer, and with four
-// producers the MPSC queue must beat the mutex buffer outright (the
-// contended lock is exactly the cost it removes).  Medians over repeated
+// must not be slower than the mutex backend — the same SPSC ring driven
+// under a host lock — and with four producers the MPSC queue must beat
+// the locked ring outright (the contended lock is exactly the cost it
+// removes).  Medians over repeated
 // trials keep one noisy scheduler decision from failing a build.
 //
 // Usage: queue_floor [--items=N] [--trials=N]
@@ -123,13 +124,13 @@ int main(int argc, char** argv) {
   int failures = 0;
   if (spsc_1p < mutex_1p) {
     std::fprintf(stderr,
-                 "queue_floor: FAIL — SPSC ring slower than the mutex buffer "
+                 "queue_floor: FAIL — SPSC ring slower than the mutex backend "
                  "single-producer\n");
     ++failures;
   }
   if (mpsc_4p < mutex_4p) {
     std::fprintf(stderr,
-                 "queue_floor: FAIL — MPSC queue slower than the mutex buffer "
+                 "queue_floor: FAIL — MPSC queue slower than the mutex backend "
                  "with 4 producers\n");
     ++failures;
   }

@@ -19,7 +19,7 @@ prefix="${1:-build-san}"
 # are outside TSan's model) and run fully under ASan/UBSan.
 # example_pcpc_cli_payload drives the thread host's varlen record plane
 # (produce_record).
-suite_regex='ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|QueueDifferential|QueueFuzz|IpcCrash|IpcLiveness|ObsIpc|ObsAttribution|Registry|TraceRing|Session|WakeupLedger|Fleet|Planner|example_chaos_demo|example_live_threads|example_pcpc_cli_payload'
+suite_regex='ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|PoolConservation|QueueDifferential|QueueFuzz|IpcCrash|IpcLiveness|ObsIpc|ObsAttribution|Registry|TraceRing|Session|WakeupLedger|Fleet|Planner|example_chaos_demo|example_live_threads|example_pcpc_cli_payload'
 
 run_pass() {
   local name="$1" sanitize="$2"
@@ -31,7 +31,7 @@ run_pass() {
   cmake --build "${dir}" -j "$(nproc)" \
     --target test_chaos_runtime test_fault_injection test_runtime \
              test_runtime_sharding test_fleet \
-             test_fuzz_pbpl test_elastic_buffer test_obs test_obs_ledger \
+             test_fuzz_pbpl test_buffer_pool test_obs test_obs_ledger \
              test_queue_differential test_queue_fuzz test_ipc_crash test_ipc_liveness \
              test_obs_ipc test_planner chaos_demo live_threads pcpc_cli
   echo "=== ${name}: test ==="

@@ -1,8 +1,7 @@
 // Fixed-capacity circular buffer.
 //
-// This is the single-threaded building block behind every bounded buffer in
-// the library: the baseline implementations' queues, the elastic buffer
-// segments, and the predictor's rate-history window.
+// The single-threaded window behind MovingAverage (the rate predictor's
+// history).  The hand-off queues live in pcpc/queue.
 #pragma once
 
 #include <cstddef>
@@ -14,8 +13,7 @@
 
 namespace pcpc {
 
-/// Bounded FIFO over contiguous storage.  Not thread-safe; concurrent
-/// variants in pcpc::runtime wrap it with their own synchronization.
+/// Bounded FIFO over contiguous storage.  Not thread-safe.
 template <typename T>
 class RingBuffer {
  public:

@@ -16,7 +16,7 @@
 #include "pcpc/core/core_manager.hpp"
 #include "pcpc/core/planner.hpp"
 #include "pcpc/fault/fault_injector.hpp"
-#include "pcpc/queue/elastic_buffer.hpp"
+#include "pcpc/queue/buffer_pool.hpp"
 #include "pcpc/queue/handoff.hpp"
 
 namespace pcpc::core {

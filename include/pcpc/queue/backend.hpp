@@ -5,7 +5,7 @@
 // "multiple producer" regime.  This header names the pluggable backends
 // the hosts can run the hand-off on; the implementations live in
 // spsc_ring.hpp / mpsc_queue.hpp and are threaded through both hosts via
-// the Handoff adapters in handoff.hpp.
+// the one RingHandoff adapter in handoff.hpp.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +16,8 @@ namespace pcpc::queue {
 
 /// Which concurrent queue carries items from producers to a consumer.
 enum class BackendKind : std::uint8_t {
-  /// The seed behaviour: an ElasticBuffer / BoundedBuffer guarded by the
-  /// host's own mutex.  Producers and the consumer serialize per item.
+  /// The seed behaviour: the SpscRing below driven under the host's own
+  /// mutex.  Producers and the consumer serialize per item.
   Mutex = 0,
   /// Cache-line-padded wait-free SPSC ring with cached head/tail indices
   /// and optional batched index publication (Torquati).  One producer
@@ -34,9 +34,9 @@ inline constexpr BackendKind kAllBackends[] = {BackendKind::Mutex, BackendKind::
 
 /// Default bound on a single varlen record's payload (see varlen.hpp /
 /// VarHandoff in handoff.hpp): every backend kind also carries a
-/// byte-granular variable-size record plane — the Mutex kind drives the
-/// SPSC byte ring under the host lock, the lock-free kinds keep their
-/// native contracts at byte granularity.
+/// byte-granular variable-size record plane — as on the item plane, the
+/// Mutex kind drives the SPSC byte ring under the host lock, the
+/// lock-free kinds keep their native contracts at byte granularity.
 inline constexpr std::uint32_t kDefaultMaxVarRecordBytes = 16u << 10;
 
 /// Stable config/CLI name ("mutex", "spsc", "mpsc").

@@ -2,14 +2,14 @@
 //
 // Both hosts (sim and thread) move items from producers to one consumer
 // through exactly one object per consumer.  Handoff is the small virtual
-// interface that lets that object be the seed's mutex-guarded
-// ElasticBuffer, the Torquati SPSC ring or the Jiffy-style MPSC queue
-// without the hosts caring which — while keeping the three behaviours the
-// paper's evaluation depends on:
+// interface that lets that object be the SPSC ring under the host's own
+// lock (the mutex backend), the Torquati SPSC ring on its lock-free
+// contract or the Jiffy-style MPSC queue without the hosts caring which —
+// while keeping the three behaviours the paper's evaluation depends on:
 //
 //   - *elastic capacity*: resize() moves whole pool segments between
-//     consumers (Section V-C), also for the lock-free backends, where the
-//     storage is fixed and only the logical admission bound moves;
+//     consumers (Section V-C).  Every backend's storage is a fixed,
+//     preallocated slot array; only the logical admission bound moves;
 //   - *drop accounting*: every rejected push is counted, so the hosts'
 //     produced == consumed + dropped identities keep holding exactly;
 //   - *observability*: capacity changes emit obs::kQueueResize and feed
@@ -40,8 +40,7 @@
 #include "pcpc/common/stats.hpp"
 #include "pcpc/obs/obs.hpp"
 #include "pcpc/queue/backend.hpp"
-#include "pcpc/queue/bounded_buffer.hpp"
-#include "pcpc/queue/elastic_buffer.hpp"
+#include "pcpc/queue/buffer_pool.hpp"
 #include "pcpc/queue/mpsc_queue.hpp"
 #include "pcpc/queue/placement.hpp"
 #include "pcpc/queue/spsc_ring.hpp"
@@ -69,42 +68,19 @@ class Handoff {
 
   /// Producer side, volley form: accepts the longest prefix of `items`
   /// that fits and returns its length.  Each rejected item counts one
-  /// overflow, like `items.size() - n` single pushes would.  The lock-free
-  /// backends take the whole volley with O(1) shared-state updates (one
-  /// tail publication / one admission claim) instead of per-item ones.
-  virtual std::size_t try_push_bulk(std::span<const T> items) {
-    // Per-item fallback: every leftover item is still offered (and its
-    // reject counted) so the overflow accounting matches what
-    // items.size() single pushes would have recorded.  Capacity cannot
-    // grow mid-call, so acceptance stays a prefix.  The failing push
-    // that ended the prefix already counted item n's reject; offer the
-    // items after it so each of their rejects is counted exactly once.
-    std::size_t n = 0;
-    while (n < items.size() && try_push(items[n])) ++n;
-    for (std::size_t i = n + 1; i < items.size(); ++i) {
-      const bool stored = try_push(items[i]);
-      PCPC_ASSERT_MSG(!stored, "bulk push accepted out of prefix order");
-    }
-    return n;
-  }
+  /// overflow, like `items.size() - n` single pushes would.  The whole
+  /// volley costs O(1) shared-state updates (one tail publication / one
+  /// admission claim) instead of per-item ones.
+  virtual std::size_t try_push_bulk(std::span<const T> items) = 0;
 
   /// Consumer side; nullopt when nothing is visible.
   virtual std::optional<T> try_pop() = 0;
 
   /// Consumer side, bulk form: removes up to `out.size()` items in FIFO
   /// order and returns the count — the same item sequence repeated
-  /// try_pop would yield, minus the per-item virtual dispatch (and, on
-  /// the lock-free backends, with one shared-index publication per chunk
-  /// instead of per item).
-  virtual std::size_t pop_bulk(std::span<T> out) {
-    std::size_t n = 0;
-    while (n < out.size()) {
-      auto item = try_pop();
-      if (!item.has_value()) break;
-      out[n++] = std::move(*item);
-    }
-    return n;
-  }
+  /// try_pop would yield, minus the per-item virtual dispatch and with
+  /// one shared-index publication per chunk instead of per item.
+  virtual std::size_t pop_bulk(std::span<T> out) = 0;
 
   /// Consumer side: drains everything currently visible through `fn`
   /// (called once per item, FIFO order), chunking pop_bulk through a
@@ -123,7 +99,7 @@ class Handoff {
 
   /// Consumer side: publish any batched pushes (SPSC publication
   /// batching); no-op elsewhere.
-  virtual void flush() {}
+  virtual void flush() = 0;
 
   /// Consumer side: elastic resize toward `target` slots, clamped by the
   /// pool's free space (growth), the live fill level (shrink) and the
@@ -140,71 +116,45 @@ class Handoff {
   bool full() const { return size() >= capacity(); }
 };
 
-/// The seed path: an ElasticBuffer under the host's own lock.
-template <typename T>
-class ElasticHandoff final : public Handoff<T> {
+/// One adapter covers all three backends, the item-plane twin of
+/// VarRingHandoff: a queue with fixed storage and a logical capacity,
+/// plus pool segment accounting, atomic overflow/high-water tracking
+/// from concurrent producers and the resize obs event.  The Mutex kind
+/// is the SPSC ring driven under the host's lock (same admission
+/// arithmetic as the lock-free kinds); the lock-free kinds are the rings
+/// on their native contracts.  `Queue` is SpscRing<T, S> or
+/// MpscSegQueue<T, 64, S>.
+template <typename T, typename Queue, BackendKind kKind, bool kLockFree>
+class RingHandoff final : public Handoff<T> {
  public:
-  ElasticHandoff(BufferPool<T>& pool, std::uint32_t consumer)
-      : consumer_(consumer), buffer_(pool.make_buffer()) {}
+  /// Pool-backed: starts at the consumer's B0 share.  The slot array is
+  /// sized for max(Bg, B0 share) as the pool stands now, and that bound
+  /// never binds while the pool's hand-offs live: Bg only grows by the
+  /// emergency segment each consumer created on an empty pool gets, and
+  /// every live consumer keeps at least one segment, so no earlier
+  /// consumer can own more than the Bg it was sized for.  `placement` selects where the slot array lives (heap by
+  /// default; an OffsetSlots queue type takes a caller-placed region).
+  RingHandoff(BufferPool<T>& pool, std::uint32_t consumer, Placement placement = {})
+      : RingHandoff(pool, consumer, pool.grant_base_segments(), placement) {}
 
-  BackendKind kind() const override { return BackendKind::Mutex; }
-  bool lock_free() const override { return false; }
+  /// Standalone fixed-capacity (baseline host): no pool accounting, so
+  /// resize() only moves the logical capacity within [1, capacity].
+  RingHandoff(std::size_t capacity, std::uint32_t consumer)
+      : queue_(capacity, capacity, Placement{}), pool_(nullptr), consumer_(consumer) {}
 
-  bool try_push(T value) override { return buffer_.push(std::move(value)); }
-  std::optional<T> try_pop() override { return buffer_.pop(); }
-
-  /// Devirtualized bulk pop: one virtual call per chunk, direct
-  /// ElasticBuffer::pop inside.
-  std::size_t pop_bulk(std::span<T> out) override {
-    std::size_t n = 0;
-    while (n < out.size()) {
-      auto item = buffer_.pop();
-      if (!item.has_value()) break;
-      out[n++] = std::move(*item);
-    }
-    return n;
+  ~RingHandoff() override {
+    if (pool_ != nullptr) pool_->return_segments(segments_);
   }
 
-  std::size_t resize(std::size_t target) override {
-    const std::size_t old_cap = buffer_.capacity();
-    const std::size_t new_cap = buffer_.resize(target);
-    if (new_cap != old_cap) obs::note_queue_resize(consumer_, old_cap, new_cap);
-    return new_cap;
-  }
-
-  std::size_t size() const override { return buffer_.size(); }
-  std::size_t capacity() const override { return buffer_.capacity(); }
-  std::uint64_t overflows() const override { return buffer_.overflows(); }
-  std::size_t high_water() const override { return buffer_.high_water(); }
-  const OnlineStats& capacity_samples() const override {
-    return buffer_.capacity_samples();
-  }
-
- private:
-  std::uint32_t consumer_;
-  ElasticBuffer<T> buffer_;
-};
-
-/// Shared scaffolding of the two lock-free adapters: pool segment
-/// accounting (mirroring ElasticBuffer::resize's clamping), atomic
-/// overflow/high-water tracking from concurrent producers, and the
-/// resize obs event.  `Queue` is SpscRing<T> or MpscSegQueue<T>.
-template <typename T, typename Queue>
-class LockFreeHandoff : public Handoff<T> {
- public:
-  bool lock_free() const override { return true; }
+  BackendKind kind() const override { return kKind; }
+  bool lock_free() const override { return kLockFree; }
 
   bool try_push(T value) override {
     if (!queue_.try_push(std::move(value))) {
       overflows_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    // Approximate high-water mark: size() sampled right after our push.
-    const std::size_t s = queue_.size();
-    std::size_t hw = high_water_.load(std::memory_order_relaxed);
-    while (s > hw &&
-           !high_water_.compare_exchange_weak(hw, s, std::memory_order_relaxed)) {
-    }
+    note_fill();
     return true;
   }
 
@@ -213,13 +163,7 @@ class LockFreeHandoff : public Handoff<T> {
     if (n < items.size()) {
       overflows_.fetch_add(items.size() - n, std::memory_order_relaxed);
     }
-    if (n > 0) {
-      const std::size_t s = queue_.size();
-      std::size_t hw = high_water_.load(std::memory_order_relaxed);
-      while (s > hw &&
-             !high_water_.compare_exchange_weak(hw, s, std::memory_order_relaxed)) {
-      }
-    }
+    if (n > 0) note_fill();
     return n;
   }
 
@@ -227,13 +171,22 @@ class LockFreeHandoff : public Handoff<T> {
 
   std::size_t pop_bulk(std::span<T> out) override { return queue_.pop_bulk(out); }
 
+  void flush() override {
+    if constexpr (requires(Queue& q) { q.flush(); }) queue_.flush();
+  }
+
   std::size_t resize(std::size_t target) override {
     const std::size_t old_cap = queue_.capacity();
     std::size_t new_cap;
     if (pool_ != nullptr) {
-      // Same clamping as ElasticBuffer::resize, against a single size
-      // snapshot (producers may push concurrently; a snapshot taken once
-      // cannot strand capacity below what we decided to keep).
+      // Growth is limited by the pool's free space; shrinkage by the
+      // items currently buffered (live items are never dropped), both in
+      // whole segments.  This is the paper's
+      //   B_i = min(Bg − ΣB_q , r̂·Δt)  (upsizing)
+      //   B_i = r̂·Δt                   (downsizing)
+      // Every decision derives from ONE size snapshot: lock-free
+      // producers may push concurrently, and a snapshot taken once
+      // cannot strand capacity below what we decided to keep.
       const std::size_t seg = pool_->segment_size();
       const std::size_t live = queue_.size();
       const std::size_t min_slots = std::max<std::size_t>(live, 1);
@@ -245,9 +198,6 @@ class LockFreeHandoff : public Handoff<T> {
         pool_->return_segments(segments_ - want_segments);
         segments_ = want_segments;
       }
-      // set_capacity clamps to the physical bound; in the (emergency
-      // overcommit) corner where granted segments exceed it, the logical
-      // capacity saturates and the extra segments return on teardown.
       new_cap = queue_.set_capacity(segments_ * seg);
     } else {
       new_cap = queue_.set_capacity(target);
@@ -267,16 +217,9 @@ class LockFreeHandoff : public Handoff<T> {
   }
   const OnlineStats& capacity_samples() const override { return capacity_samples_; }
 
-  ~LockFreeHandoff() override {
-    if (pool_ != nullptr) pool_->return_segments(segments_);
-  }
-
- protected:
-  /// Pool-backed: starts at the consumer's B0 share, max capacity Bg.
-  /// `placement` selects where the queue's slot array lives (heap by
-  /// default; an OffsetSlots queue type takes a caller-placed region).
-  LockFreeHandoff(BufferPool<T>& pool, std::uint32_t consumer,
-                  std::size_t base_segments, Placement placement = {})
+ private:
+  RingHandoff(BufferPool<T>& pool, std::uint32_t consumer, std::size_t base_segments,
+              Placement placement)
       : queue_(base_segments * pool.segment_size(),
                std::max(pool.total_slots(), base_segments * pool.segment_size()),
                placement),
@@ -284,13 +227,16 @@ class LockFreeHandoff : public Handoff<T> {
         consumer_(consumer),
         segments_(base_segments) {}
 
-  /// Standalone fixed-capacity (baseline host): no pool accounting.
-  LockFreeHandoff(std::size_t capacity, std::uint32_t consumer)
-      : queue_(capacity, capacity, Placement{}), pool_(nullptr), consumer_(consumer) {}
+  /// Approximate high-water mark: size() sampled right after a push.
+  void note_fill() {
+    const std::size_t s = queue_.size();
+    std::size_t hw = high_water_.load(std::memory_order_relaxed);
+    while (s > hw &&
+           !high_water_.compare_exchange_weak(hw, s, std::memory_order_relaxed)) {
+    }
+  }
 
   Queue queue_;
-
- private:
   BufferPool<T>* pool_;
   std::uint32_t consumer_;
   std::size_t segments_ = 0;
@@ -299,82 +245,31 @@ class LockFreeHandoff : public Handoff<T> {
   OnlineStats capacity_samples_;
 };
 
-template <typename T, template <typename> class SlotsTmpl = HeapSlots>
-class SpscHandoff final : public LockFreeHandoff<T, SpscRing<T, SlotsTmpl>> {
-  using Base = LockFreeHandoff<T, SpscRing<T, SlotsTmpl>>;
-
- public:
-  SpscHandoff(BufferPool<T>& pool, std::uint32_t consumer, Placement placement = {})
-      : Base(pool, consumer, pool.grant_base_segments(), placement) {}
-  SpscHandoff(std::size_t capacity, std::uint32_t consumer)
-      : Base(capacity, consumer) {}
-
-  BackendKind kind() const override { return BackendKind::SpscRing; }
-  void flush() override { this->queue_.flush(); }
-};
-
-template <typename T, template <typename> class SlotsTmpl = HeapSlots>
-class MpscHandoff final
-    : public LockFreeHandoff<T, MpscSegQueue<T, 64, SlotsTmpl>> {
-  using Base = LockFreeHandoff<T, MpscSegQueue<T, 64, SlotsTmpl>>;
-
- public:
-  MpscHandoff(BufferPool<T>& pool, std::uint32_t consumer, Placement placement = {})
-      : Base(pool, consumer, pool.grant_base_segments(), placement) {}
-  MpscHandoff(std::size_t capacity, std::uint32_t consumer)
-      : Base(capacity, consumer) {}
-
-  BackendKind kind() const override { return BackendKind::MpscSeg; }
-};
-
-/// Standalone mutex-backend hand-off for hosts without a pool (the
-/// baselines): a fixed-capacity BoundedBuffer under the host's lock.
-template <typename T>
-class BoundedHandoff final : public Handoff<T> {
- public:
-  explicit BoundedHandoff(std::size_t capacity) : buffer_(capacity) {}
-
-  BackendKind kind() const override { return BackendKind::Mutex; }
-  bool lock_free() const override { return false; }
-
-  bool try_push(T value) override { return buffer_.push(std::move(value)); }
-  std::optional<T> try_pop() override { return buffer_.pop(); }
-
-  /// Devirtualized bulk pop over the ring (see ElasticHandoff).
-  std::size_t pop_bulk(std::span<T> out) override {
-    std::size_t n = 0;
-    while (n < out.size()) {
-      auto item = buffer_.pop();
-      if (!item.has_value()) break;
-      out[n++] = std::move(*item);
-    }
-    return n;
+/// Builds the RingHandoff for `kind` with slot storage `SlotsTmpl`,
+/// forwarding `args` to its pool-backed or standalone constructor.
+template <typename T, template <typename> class SlotsTmpl, typename... Args>
+std::unique_ptr<Handoff<T>> make_ring_handoff(BackendKind kind, Args&&... args) {
+  using Spsc = SpscRing<T, SlotsTmpl>;
+  using Mpsc = MpscSegQueue<T, 64, SlotsTmpl>;
+  switch (kind) {
+    case BackendKind::Mutex:
+      return std::make_unique<RingHandoff<T, Spsc, BackendKind::Mutex, false>>(
+          std::forward<Args>(args)...);
+    case BackendKind::SpscRing:
+      return std::make_unique<RingHandoff<T, Spsc, BackendKind::SpscRing, true>>(
+          std::forward<Args>(args)...);
+    case BackendKind::MpscSeg:
+      return std::make_unique<RingHandoff<T, Mpsc, BackendKind::MpscSeg, true>>(
+          std::forward<Args>(args)...);
   }
-
-  /// Fixed capacity: resize is a no-op reporting the unchanged bound.
-  std::size_t resize(std::size_t) override { return buffer_.capacity(); }
-
-  std::size_t size() const override { return buffer_.size(); }
-  std::size_t capacity() const override { return buffer_.capacity(); }
-  std::uint64_t overflows() const override { return buffer_.overflows(); }
-  std::size_t high_water() const override { return buffer_.high_water(); }
-  const OnlineStats& capacity_samples() const override { return capacity_samples_; }
-
- private:
-  BoundedBuffer<T> buffer_;
-  OnlineStats capacity_samples_;  ///< stays empty; capacity never moves
-};
+  return nullptr;
+}
 
 /// Pool-backed hand-off for the elastic hosts (PBPL sim + thread).
 template <typename T>
 std::unique_ptr<Handoff<T>> make_pool_handoff(BackendKind kind, BufferPool<T>& pool,
                                               std::uint32_t consumer) {
-  switch (kind) {
-    case BackendKind::Mutex: return std::make_unique<ElasticHandoff<T>>(pool, consumer);
-    case BackendKind::SpscRing: return std::make_unique<SpscHandoff<T>>(pool, consumer);
-    case BackendKind::MpscSeg: return std::make_unique<MpscHandoff<T>>(pool, consumer);
-  }
-  return nullptr;
+  return make_ring_handoff<T, HeapSlots>(kind, pool, consumer);
 }
 
 /// Worst-case slot-array bytes a placed pool hand-off may need for this
@@ -384,7 +279,7 @@ template <typename T>
 std::size_t placed_handoff_bytes(BackendKind kind, const BufferPool<T>& pool) {
   const std::size_t max_cap = pool.total_slots() + pool.segment_size();
   switch (kind) {
-    case BackendKind::Mutex: return 0;  // deque storage cannot be placed
+    case BackendKind::Mutex:
     case BackendKind::SpscRing: return SpscRing<T>::placement_bytes(max_cap);
     case BackendKind::MpscSeg: return MpscSegQueue<T>::placement_bytes(max_cap);
   }
@@ -392,37 +287,22 @@ std::size_t placed_handoff_bytes(BackendKind kind, const BufferPool<T>& pool) {
 }
 
 /// Pool-backed hand-off whose slot array lives in a caller-placed region
-/// (e.g. a shared-memory mapping) instead of the heap — the placement-
-/// agnostic face of the lock-free backends.  Size the region with
-/// placed_handoff_bytes().  Mutex has no placed variant (deque storage);
-/// callers get nullptr and should fall back to make_pool_handoff.
+/// (e.g. a shared-memory mapping) instead of the heap.  Every kind has a
+/// placed variant (the Mutex kind shares the SPSC ring's storage).  Size
+/// the region with placed_handoff_bytes().
 template <typename T>
 std::unique_ptr<Handoff<T>> make_placed_pool_handoff(BackendKind kind,
                                                      BufferPool<T>& pool,
                                                      std::uint32_t consumer,
                                                      Placement placement) {
-  switch (kind) {
-    case BackendKind::Mutex: return nullptr;
-    case BackendKind::SpscRing:
-      return std::make_unique<SpscHandoff<T, OffsetSlots>>(pool, consumer, placement);
-    case BackendKind::MpscSeg:
-      return std::make_unique<MpscHandoff<T, OffsetSlots>>(pool, consumer, placement);
-  }
-  return nullptr;
+  return make_ring_handoff<T, OffsetSlots>(kind, pool, consumer, placement);
 }
 
 /// Fixed-capacity hand-off for the baseline host.
 template <typename T>
 std::unique_ptr<Handoff<T>> make_handoff(BackendKind kind, std::size_t capacity,
                                          std::uint32_t consumer = 0) {
-  switch (kind) {
-    case BackendKind::Mutex: return std::make_unique<BoundedHandoff<T>>(capacity);
-    case BackendKind::SpscRing:
-      return std::make_unique<SpscHandoff<T>>(capacity, consumer);
-    case BackendKind::MpscSeg:
-      return std::make_unique<MpscHandoff<T>>(capacity, consumer);
-  }
-  return nullptr;
+  return make_ring_handoff<T, HeapSlots>(kind, capacity, consumer);
 }
 
 // ---------------------------------------------------------------------------

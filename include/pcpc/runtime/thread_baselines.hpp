@@ -53,15 +53,15 @@ enum class SignalPolicy {
 };
 
 /// A set of producer-consumer pairs on real threads.  Each pair owns a
-/// bounded deque, a condvar and one consumer thread.
+/// fixed-capacity hand-off, a condvar and one consumer thread.
 class ThreadBaseline {
  public:
   /// `period` is used only by SignalPolicy::Periodic.  `injector`, when
   /// non-null, must outlive the baseline; it injects producer stalls and
   /// bursts and slow-consumer handler delays so the baselines face the
   /// same chaos the PBPL host does.  `backend` selects the hand-off
-  /// queue: the seed's mutex-guarded bounded buffer, or a lock-free ring
-  /// whose pushes bypass the pair lock (BackendKind::SpscRing then
+  /// queue: the SPSC ring under the pair lock (the mutex backend), or a
+  /// lock-free ring whose pushes bypass the pair lock (BackendKind::SpscRing then
   /// requires one producer thread per pair; MpscSeg accepts any number).
   ThreadBaseline(std::size_t pairs, std::size_t buffer_capacity, SignalPolicy policy,
                  SimDuration period = milliseconds(10),

@@ -51,7 +51,7 @@
 #include "pcpc/core/slot_track.hpp"
 #include "pcpc/fault/fault_injector.hpp"
 #include "pcpc/fleet/controller.hpp"
-#include "pcpc/queue/elastic_buffer.hpp"
+#include "pcpc/queue/buffer_pool.hpp"
 #include "pcpc/queue/handoff.hpp"
 
 namespace pcpc::runtime {

@@ -916,7 +916,11 @@ void ThreadPbpl::run_handlers(Core& core, std::unique_lock<std::mutex>& lock) {
   lock.unlock();
   for (const PendingBatch& p : core.pending) {
     if (handler_) handler_(p.consumer->index, p.batch);
-    if (record_handler_) {
+    // Only a batch holding records reads record_handler_: those records
+    // were produced after set_record_handler, so their publication
+    // orders the handler's assignment before this read.  An empty slot
+    // drain may run before any producer and must not touch it.
+    if (!p.records.empty() && record_handler_) {
       for (const queue::VarRecordView& v : p.records) {
         record_handler_(p.consumer->index,
                         std::span<const std::byte>(v.data + kStampBytes,

@@ -1,0 +1,344 @@
+// Tests for the global buffer pool and the elastic per-consumer hand-offs
+// carved out of it (Section V-C dynamic resizing).  Every case runs on
+// all three backend kinds: they share one segment account and one clamp
+// rule, so they must agree slot for slot.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
+
+#include "pcpc/common/rng.hpp"
+#include "pcpc/queue/handoff.hpp"
+
+namespace pcpc::queue {
+namespace {
+
+using IntHandoff = std::unique_ptr<Handoff<int>>;
+
+IntHandoff make(BackendKind kind, BufferPool<int>& pool) {
+  return make_pool_handoff<int>(kind, pool, /*consumer=*/0);
+}
+
+TEST(BufferPool, SlotAccountingAtConstruction) {
+  BufferPool<int> pool(/*consumers=*/4, /*base_capacity=*/25, /*segment_size=*/5);
+  EXPECT_EQ(pool.total_slots(), 100u);
+  EXPECT_EQ(pool.free_slots(), 100u);
+  EXPECT_EQ(pool.base_capacity(), 25u);
+}
+
+TEST(BufferPool, RoundsUpPerConsumer) {
+  BufferPool<int> pool(/*consumers=*/3, /*base_capacity=*/7, /*segment_size=*/5);
+  // Each consumer's 7-slot share rounds to 2 segments: 3 × 10 slots.
+  EXPECT_EQ(pool.total_slots(), 30u);
+}
+
+TEST(BufferPool, EveryConsumerGetsItsBaseShare) {
+  // Regression (found by fuzzing): with a segment size larger than the
+  // base capacity, global rounding used to under-provision the pool and
+  // the last consumer's base grant came up empty.
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(/*consumers=*/3, /*base_capacity=*/4, /*segment_size=*/10);
+    std::vector<IntHandoff> handoffs;
+    for (int i = 0; i < 3; ++i) handoffs.push_back(make(kind, pool));
+    for (const auto& h : handoffs) EXPECT_GE(h->capacity(), 4u);
+    EXPECT_EQ(pool.exhausted_grants(), 0u);
+  }
+}
+
+TEST(BufferPool, MakeBufferTakesBaseCapacity) {
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(2, 25, 5);
+    auto handoff = make(kind, pool);
+    EXPECT_EQ(handoff->capacity(), 25u);
+    EXPECT_EQ(pool.free_slots(), 25u);
+  }
+}
+
+TEST(ElasticBuffer, FifoWithOverflowCount) {
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(1, 3, 1);
+    auto buffer = make(kind, pool);
+    EXPECT_TRUE(buffer->try_push(1));
+    EXPECT_TRUE(buffer->try_push(2));
+    EXPECT_TRUE(buffer->try_push(3));
+    EXPECT_FALSE(buffer->try_push(4));
+    EXPECT_EQ(buffer->overflows(), 1u);
+    EXPECT_EQ(*buffer->try_pop(), 1);
+    EXPECT_EQ(*buffer->try_pop(), 2);
+    EXPECT_EQ(*buffer->try_pop(), 3);
+    EXPECT_EQ(buffer->try_pop(), std::nullopt);
+  }
+}
+
+TEST(ElasticBuffer, GrowTakesFromPool) {
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(2, 10, 5);
+    auto a = make(kind, pool);
+    EXPECT_EQ(pool.free_slots(), 10u);
+    EXPECT_EQ(a->resize(20), 20u);
+    EXPECT_EQ(pool.free_slots(), 0u);
+  }
+}
+
+TEST(ElasticBuffer, GrowIsClampedByPool) {
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(2, 10, 5);
+    auto a = make(kind, pool);
+    auto b = make(kind, pool);
+    EXPECT_EQ(pool.free_slots(), 0u);
+    EXPECT_EQ(a->resize(100), 10u);  // nothing left to lend
+    b->resize(5);                    // b shrinks, frees one segment
+    EXPECT_EQ(a->resize(100), 15u);  // a can now take it
+  }
+}
+
+TEST(ElasticBuffer, ShrinkReturnsToPool) {
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(1, 20, 5);
+    auto buffer = make(kind, pool);
+    buffer->resize(5);
+    EXPECT_EQ(buffer->capacity(), 5u);
+    EXPECT_EQ(pool.free_slots(), 15u);
+  }
+}
+
+TEST(ElasticBuffer, ShrinkNeverDropsLiveItems) {
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(1, 20, 5);
+    auto buffer = make(kind, pool);
+    for (int i = 0; i < 12; ++i) buffer->try_push(i);
+    buffer->resize(1);  // wants 1 slot but holds 12 items
+    EXPECT_GE(buffer->capacity(), 12u);
+    for (int i = 0; i < 12; ++i) EXPECT_EQ(*buffer->try_pop(), i);
+  }
+}
+
+TEST(ElasticBuffer, ResizeRoundsToSegments) {
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(1, 20, 5);
+    auto buffer = make(kind, pool);
+    EXPECT_EQ(buffer->resize(7), 10u);  // 2 segments of 5
+    EXPECT_EQ(buffer->resize(11), 15u);
+  }
+}
+
+TEST(ElasticBuffer, TrimReleasesAllSpare) {
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(1, 20, 5);
+    auto buffer = make(kind, pool);
+    buffer->try_push(1);
+    buffer->resize(buffer->size());
+    EXPECT_EQ(buffer->capacity(), 5u);  // one segment still holds the item
+    EXPECT_EQ(pool.free_slots(), 15u);
+  }
+}
+
+TEST(ElasticBuffer, DestructionReturnsSegments) {
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(2, 10, 5);
+    {
+      auto buffer = make(kind, pool);
+      EXPECT_EQ(pool.free_slots(), 10u);
+    }
+    EXPECT_EQ(pool.free_slots(), 20u);
+  }
+}
+
+TEST(ElasticBuffer, CapacitySamplesRecordResizes) {
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(1, 20, 5);
+    auto buffer = make(kind, pool);
+    buffer->resize(10);
+    buffer->resize(20);
+    EXPECT_EQ(buffer->capacity_samples().count(), 2u);
+    EXPECT_DOUBLE_EQ(buffer->capacity_samples().mean(), 15.0);
+  }
+}
+
+TEST(ElasticBuffer, HighWaterTracksPeak) {
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(1, 10, 5);
+    auto buffer = make(kind, pool);
+    buffer->try_push(1);
+    buffer->try_push(2);
+    buffer->try_pop();
+    EXPECT_EQ(buffer->high_water(), 2u);
+  }
+}
+
+class PoolConservationTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PoolConservationTest, SlotsAreConservedUnderRandomTraffic) {
+  // Property: at every step, free + Σ owned = total, and no buffer ever
+  // loses a live item.
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(4, 25, 5);
+    std::vector<IntHandoff> buffers;
+    for (int i = 0; i < 4; ++i) buffers.push_back(make(kind, pool));
+    std::vector<int> next_in(4, 0), next_out(4, 0);
+    Rng rng(GetParam());
+    for (int step = 0; step < 20000; ++step) {
+      const auto who = static_cast<std::size_t>(rng.next_below(4));
+      auto& buffer = *buffers[who];
+      const double action = rng.next_double();
+      if (action < 0.4) {
+        if (buffer.try_push(next_in[who])) ++next_in[who];
+      } else if (action < 0.8) {
+        if (auto v = buffer.try_pop()) {
+          ASSERT_EQ(*v, next_out[who]);
+          ++next_out[who];
+        }
+      } else {
+        buffer.resize(rng.next_below(60));
+      }
+      std::size_t owned = 0;
+      for (const auto& b : buffers) owned += b->capacity();
+      ASSERT_EQ(owned + pool.free_slots(), pool.total_slots());
+      ASSERT_GE(buffer.capacity(), buffer.size());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PoolConservationTest, ::testing::Values(1, 2, 3, 4, 5, 6));
+
+TEST(BufferPool, ExhaustionDegradesInsteadOfAborting) {
+  // Regression: an over-subscribed pool used to PCPC_ASSERT-abort when a
+  // consumer's base share could not be granted.  It must instead
+  // over-commit one emergency segment, count the event, and hand out a
+  // usable (if minimal) buffer.
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(/*consumers=*/2, /*base_capacity=*/8, /*segment_size=*/8);
+    auto a = make(kind, pool);
+    auto b = make(kind, pool);
+    EXPECT_EQ(pool.free_slots(), 0u);
+
+    auto c = make(kind, pool);  // pool is empty: degraded grant
+    EXPECT_EQ(pool.exhausted_grants(), 1u);
+    EXPECT_EQ(c->capacity(), 8u);  // exactly one segment
+    EXPECT_TRUE(c->try_push(42));
+    EXPECT_EQ(c->try_pop(), 42);
+
+    // The over-commit grew Bg by the emergency segment, so the global
+    // owned + free == total invariant still holds.
+    EXPECT_EQ(a->capacity() + b->capacity() + c->capacity() + pool.free_slots(),
+              pool.total_slots());
+  }
+}
+
+TEST(BufferPool, OverSubscribedPoolResizesTowardGrownBg) {
+  // A consumer created on an empty pool grows Bg by its emergency
+  // segment.  The grown pool is a real pool: segments freed by the
+  // others flow to whoever asks, every kind's logical capacity follows
+  // its owned segments, and owned + free == total holds throughout.
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(/*consumers=*/2, /*base_capacity=*/16, /*segment_size=*/8);
+    auto a = make(kind, pool);
+    auto b = make(kind, pool);
+    auto c = make(kind, pool);  // over-commit: Bg 32 -> 40 slots
+    ASSERT_EQ(pool.exhausted_grants(), 1u);
+    ASSERT_EQ(pool.total_slots(), 40u);
+    auto conserved = [&] {
+      return a->capacity() + b->capacity() + c->capacity() + pool.free_slots() ==
+             pool.total_slots();
+    };
+    EXPECT_TRUE(conserved());
+
+    EXPECT_EQ(a->resize(1), 8u);
+    EXPECT_EQ(b->resize(1), 8u);
+    EXPECT_TRUE(conserved());
+    // c may take everything the others do not hold: 40 − 8 − 8.
+    EXPECT_EQ(c->resize(pool.total_slots()), 24u);
+    EXPECT_EQ(pool.free_slots(), 0u);
+    EXPECT_TRUE(conserved());
+
+    // Hand it back and let the first consumer grow as far as it can.
+    EXPECT_EQ(c->resize(1), 8u);
+    EXPECT_EQ(a->resize(pool.total_slots()), 24u);
+    EXPECT_TRUE(conserved());
+    for (int i = 0; i < 24; ++i) EXPECT_TRUE(a->try_push(i));
+    EXPECT_FALSE(a->try_push(24));
+  }
+}
+
+TEST(BufferPool, SeizeAndRestoreSegmentsForPressure) {
+  for (const BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(backend_name(kind));
+    BufferPool<int> pool(/*consumers=*/4, /*base_capacity=*/10, /*segment_size=*/5);
+    EXPECT_EQ(pool.total_segments(), 8u);
+    auto a = make(kind, pool);  // takes 2 segments, 6 free
+    const std::size_t seized = pool.seize_segments(100);
+    EXPECT_EQ(seized, 6u);  // only what was free
+    EXPECT_EQ(pool.free_slots(), 0u);
+    // Growth requests now come up empty; the buffer keeps what it owns.
+    EXPECT_EQ(a->resize(40), a->capacity());
+    EXPECT_EQ(a->capacity(), 10u);
+    pool.restore_segments(seized);
+    EXPECT_EQ(pool.free_slots(), 30u);
+    EXPECT_GE(a->resize(40), 40u);
+  }
+}
+
+// Regression: resize() used to re-read the live size per clamping
+// decision, so a push landing mid-resize (the thread host's
+// producer-vs-manager interleaving, serialized only by the caller's
+// lock) could strand capacity() < size().  The fix snapshots the fill
+// level once; this hammers grow/shrink against a concurrent enqueuer on
+// the Mutex kind under its documented external lock and checks the
+// invariant after every single operation.  Run under TSan by
+// ci/sanitize.sh.
+TEST(ElasticBufferConcurrency, GrowRacesEnqueue) {
+  BufferPool<int> pool(/*consumers=*/2, /*base_capacity=*/16, /*segment_size=*/4);
+  auto buffer = make(BackendKind::Mutex, pool);
+  std::mutex lock;  // the contract: one lock guards push/pop AND resize
+  std::atomic<bool> stop{false};
+
+  std::thread producer([&] {
+    Rng rng(11);
+    int item = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      std::lock_guard<std::mutex> guard(lock);
+      if (rng.next_below(3) == 0) {
+        buffer->try_pop();
+      } else {
+        buffer->try_push(item++);
+      }
+      ASSERT_GE(buffer->capacity(), buffer->size());
+    }
+  });
+
+  Rng rng(22);
+  for (int i = 0; i < 20000; ++i) {
+    std::lock_guard<std::mutex> guard(lock);
+    const std::size_t target = 1 + static_cast<std::size_t>(rng.next_below(32));
+    const std::size_t granted = buffer->resize(target);
+    // The one-snapshot clamp: never below what was live at the call.
+    ASSERT_GE(granted, buffer->size());
+    ASSERT_EQ(granted, buffer->capacity());
+  }
+  stop.store(true);
+  producer.join();
+
+  // Pool accounting survived the storm: owned + free == total.
+  EXPECT_EQ(buffer->capacity() + pool.free_slots(), pool.total_slots());
+}
+
+}  // namespace
+}  // namespace pcpc::queue

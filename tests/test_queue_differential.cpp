@@ -4,8 +4,10 @@
 // The backends promise *identical observable semantics* behind the
 // Handoff interface: same admission decisions, same elastic-capacity
 // clamping against the pool, same drop accounting.  So the strongest test
-// is differential — drive every backend through an identical seeded
-// workload and demand bit-identical outcomes, not merely plausible ones:
+// is differential — drive every backend and a test-local reference model
+// (a std::deque with its own segment account) through an identical
+// seeded workload and demand bit-identical outcomes, not merely
+// plausible ones:
 //
 //   - the consumed item sequence (FIFO order, not just the multiset),
 //   - the sequence of dropped item values, per overflow policy,
@@ -20,8 +22,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -69,14 +74,69 @@ struct Outcome {
   std::uint64_t rejected_pushes = 0;       ///< what overflows() must equal
 };
 
-/// Single-threaded reference driver: one seeded op stream (pushes,
-/// partial drains, elastic resizes) against a caller-supplied hand-off,
-/// applying one overflow policy exactly the way the hosts do.  Taking
-/// the hand-off as a parameter is what lets the same op stream run
-/// against heap-placed and shm-placed storage of the same backend.
-void drive_handoff(Handoff<std::uint64_t>& handoff, OverflowPolicy policy,
-                   std::uint64_t seed, Outcome& out) {
-  Handoff<std::uint64_t>* queue = &handoff;
+/// The reference every backend is diffed against: an unbounded deque
+/// whose logical capacity is the whole pool segments it owns, resized
+/// under the paper's elastic-wall rule — growth limited by the pool's
+/// free segments, shrink never below the live fill (nor one slot), both
+/// rounded up to whole segments.  Deliberately shares no storage or
+/// admission code with the backends.
+class ReferenceQueue {
+ public:
+  explicit ReferenceQueue(BufferPool<std::uint64_t>& pool)
+      : pool_(pool), segments_(pool.grant_base_segments()) {}
+  ~ReferenceQueue() { pool_.return_segments(segments_); }
+
+  bool try_push(std::uint64_t item) {
+    if (items_.size() >= capacity()) {
+      ++overflows_;
+      return false;
+    }
+    items_.push_back(item);
+    return true;
+  }
+
+  std::optional<std::uint64_t> try_pop() {
+    if (items_.empty()) return std::nullopt;
+    const std::uint64_t item = items_.front();
+    items_.pop_front();
+    return item;
+  }
+
+  std::size_t resize(std::size_t target) {
+    const std::size_t seg = pool_.segment_size();
+    const std::size_t want_slots =
+        std::max({target, items_.size(), std::size_t{1}});
+    const std::size_t want_segments = (want_slots + seg - 1) / seg;
+    if (want_segments > segments_) {
+      segments_ += pool_.grant_segments(want_segments - segments_);
+    } else {
+      pool_.return_segments(segments_ - want_segments);
+      segments_ = want_segments;
+    }
+    return capacity();
+  }
+
+  std::size_t capacity() const { return segments_ * pool_.segment_size(); }
+  std::uint64_t overflows() const { return overflows_; }
+  void flush() {}
+
+ private:
+  BufferPool<std::uint64_t>& pool_;
+  std::size_t segments_;
+  std::deque<std::uint64_t> items_;
+  std::uint64_t overflows_ = 0;
+};
+
+/// Single-threaded driver: one seeded op stream (pushes, partial drains,
+/// elastic resizes) against a caller-supplied queue — a Handoff or the
+/// ReferenceQueue — applying one overflow policy exactly the way the
+/// hosts do.  Taking the queue as a parameter is also what lets the same
+/// op stream run against heap-placed and shm-placed storage of the same
+/// backend.
+template <typename Queue>
+void drive_handoff(Queue& handoff, OverflowPolicy policy, std::uint64_t seed,
+                   Outcome& out) {
+  Queue* queue = &handoff;
   Rng rng(seed);
   std::uint64_t next_item = 1;
 
@@ -156,6 +216,16 @@ Outcome drive(BackendKind kind, OverflowPolicy policy, std::uint64_t seed) {
   return out;
 }
 
+/// The same run against the reference model.
+Outcome drive_reference(OverflowPolicy policy, std::uint64_t seed) {
+  BufferPool<std::uint64_t> pool(/*consumers=*/2, /*base_capacity=*/24,
+                                 /*segment_size=*/8);
+  ReferenceQueue queue(pool);
+  Outcome out;
+  drive_handoff(queue, policy, seed, out);
+  return out;
+}
+
 /// Same workload, but the backend's slot array lives in a real
 /// MAP_SHARED shared-memory mapping (OffsetSlots placement) — the
 /// storage the pcpc::ipc host uses.  Placement must be semantically
@@ -195,15 +265,14 @@ TEST(QueueDifferential, BackendsAgreeUnderEveryPolicy) {
   const std::uint64_t kSeeds[] = {1, 42, 0xdecafbadULL, 987654321};
   for (const auto policy : kPolicies) {
     for (const std::uint64_t seed : kSeeds) {
-      const Outcome reference = drive(BackendKind::Mutex, policy, seed);
+      const Outcome reference = drive_reference(policy, seed);
       // Conservation holds on the reference run itself.
       EXPECT_EQ(reference.produced, reference.consumed.size() +
                                         reference.dropped.size() +
                                         reference.residue.size());
       for (const auto kind : kBackends) {
-        if (kind == BackendKind::Mutex) continue;
         std::ostringstream label;
-        label << backend_name(kind) << " vs mutex, " << policy_name(policy)
+        label << backend_name(kind) << " vs reference, " << policy_name(policy)
               << ", seed " << seed;
         expect_same(reference, drive(kind, policy, seed), label.str());
       }
@@ -212,9 +281,8 @@ TEST(QueueDifferential, BackendsAgreeUnderEveryPolicy) {
 }
 
 TEST(QueueDifferential, HeapAndShmPlacementsAgreeBitForBit) {
-  // Mutex is excluded by design: deque storage has no placed variant.
   const std::uint64_t kSeeds[] = {3, 0xfeedULL, 271828};
-  for (const auto kind : {BackendKind::SpscRing, BackendKind::MpscSeg}) {
+  for (const auto kind : kBackends) {
     for (const auto policy : kPolicies) {
       for (const std::uint64_t seed : kSeeds) {
         std::ostringstream label;
