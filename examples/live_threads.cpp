@@ -1,5 +1,8 @@
 // Live-threads demo: the PBPL runtime on real std::thread, racing the
 // classic per-item Mutex implementation on the same replayed workload.
+// Both rounds run on the one thread host: Mutex is its PerItem wake
+// policy with one manager thread per pair, PBPL its default policy with
+// one manager for all four pairs.
 //
 // Unlike the simulation benches this runs on the wall clock, counts real
 // condvar wakeups and measures real CPU time — the closest this library
@@ -13,7 +16,6 @@
 #include <vector>
 
 #include "pcpc/core/config.hpp"
-#include "pcpc/runtime/thread_baselines.hpp"
 #include "pcpc/runtime/thread_pbpl.hpp"
 #include "pcpc/runtime/trace_replayer.hpp"
 #include "pcpc/trace/webserver_log.hpp"
@@ -36,10 +38,15 @@ int main(int argc, char** argv) {
   std::printf("Replaying %zu requests over %.1f s across %zu pairs...\n", total_items,
               run_seconds, pairs);
 
-  // Round 1: per-item Mutex signaling.
-  runtime::ThreadBaselineStats mutex_stats;
+  // Round 1: per-item Mutex signaling, one thread per pair, fixed B = 64.
+  core::PbplConfig mutex_config;
+  mutex_config.cores = pairs;
+  mutex_config.base_buffer = 64;
+  mutex_config.pool_segment = 8;
+  mutex_config.wake_policy = core::WakePolicy::PerItem;
+  runtime::ThreadPbplStats mutex_stats;
   {
-    runtime::ThreadBaseline mutex(pairs, 64, runtime::SignalPolicy::PerItem);
+    runtime::ThreadPbpl mutex(pairs, mutex_config);
     runtime::TraceReplayer replayer(traces, horizon,
                                     [&](std::size_t p) { mutex.produce(p); });
     replayer.wait();
@@ -66,7 +73,8 @@ int main(int argc, char** argv) {
     pbpl_stats = pbpl.stats();
   }
 
-  const double mutex_wakeups = static_cast<double>(mutex_stats.consumer_wakeups);
+  const double mutex_wakeups =
+      static_cast<double>(mutex_stats.scheduled_wakeups + mutex_stats.overflow_wakeups);
   const double pbpl_wakeups =
       static_cast<double>(pbpl_stats.scheduled_wakeups + pbpl_stats.overflow_wakeups);
 
@@ -83,7 +91,7 @@ int main(int argc, char** argv) {
   std::printf("%-28s %12.2f %12.2f\n", "mean latency (ms)",
               mutex_stats.latency_s.mean() * 1e3, pbpl_stats.latency_s.mean() * 1e3);
   std::printf("%-28s %12.2f %12.2f\n", "consumer CPU (ms)",
-              static_cast<double>(mutex_stats.consumer_cpu_ns) * 1e-6,
+              static_cast<double>(mutex_stats.manager_cpu_ns) * 1e-6,
               static_cast<double>(pbpl_stats.manager_cpu_ns) * 1e-6);
   if (pbpl_stats.reservations > 0) {
     std::printf("%-28s %12s %11.0f%%\n", "latched reservations", "-",

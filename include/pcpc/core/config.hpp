@@ -31,6 +31,25 @@ enum class OverflowPolicy {
   EmergencyBorrow,
 };
 
+/// When the thread host wakes a consumer: the paper's PBPL schedule, or
+/// one of the Section VI baselines run over the same buffers, cores and
+/// drain path.  A baseline never calls the planner and never borrows, so
+/// each buffer stays at its base share B (the fixed-B baseline); one
+/// consumer per core (cores = pairs) gives "one thread per pair".
+enum class WakePolicy {
+  /// Reserve the planner's slot; producers wake the manager only on
+  /// overflow.
+  Pbpl,
+  /// Mutex/semaphore style: every admitted item asks for a drain.
+  PerItem,
+  /// BP style: the push that fills the buffer asks for a drain.
+  OnFull,
+  /// Periodic batch processing: a timer on the slot_size grid (the
+  /// paper's k·T) drains every slot, and a push that fills the buffer
+  /// drains early.
+  Periodic,
+};
+
 /// All tunables of the PBPL algorithm and its host.  Defaults follow the
 /// paper's evaluation setup (Section VI-A) where it specifies one, and a
 /// documented calibration otherwise.
@@ -84,6 +103,11 @@ struct PbplConfig {
   /// Thread host: what a producer does when its buffer is full and the
   /// pre-emptive borrow (emergency_borrow above) could not make space.
   OverflowPolicy overflow_policy = OverflowPolicy::Block;
+
+  /// Thread host: when managers wake consumers (see WakePolicy).  The sim
+  /// host runs only Pbpl.  A signalled baseline drain counts as an
+  /// overflow wakeup, a Periodic timer fire as a scheduled one.
+  WakePolicy wake_policy = WakePolicy::Pbpl;
 
   /// Which concurrent queue carries the producer→consumer hand-off in
   /// both hosts: the seed's mutex-guarded elastic buffer, the Torquati

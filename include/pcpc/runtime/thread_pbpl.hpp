@@ -9,6 +9,12 @@
 // pool segments and only then falls back to the configured overflow
 // policy.
 //
+// The same host runs the paper's Section VI baselines as wake policies
+// (config.wake_policy): PerItem (Mutex), OnFull (BP) and Periodic (k·T
+// timer).  They change only who asks for a drain (producers, per item or
+// on the filling push) and what the manager books (nothing, or the next
+// grid slot); admission, drain, stats, obs and fault hooks are shared.
+//
 // The decision logic (core::Planner over SlotTrack, ReservationTable,
 // choose_slot, the predictors and the elastic pool) is the same code the
 // simulation host runs — this file only supplies the threading shell,
@@ -177,7 +183,8 @@ class ThreadPbpl {
   ///
   /// Backend contract (config.queue_backend): with a lock-free backend
   /// the common case never touches any runtime lock — only the overflow
-  /// slow path takes the owning core's lock.  BackendKind::MpscSeg
+  /// slow path takes the owning core's lock (under a baseline
+  /// config.wake_policy every push does, to decide on its drain).  BackendKind::MpscSeg
   /// accepts any number of concurrent producer threads per consumer;
   /// BackendKind::SpscRing requires the caller to produce to each
   /// consumer from at most one thread at a time (the ring's
@@ -349,6 +356,16 @@ class ThreadPbpl {
   /// admitted the item, false when it was counted as a drop.
   template <typename Plane>
   bool admit_slow(Consumer& consumer, Plane& plane);
+  /// True for the Section VI baselines (config.wake_policy != Pbpl):
+  /// producers decide on a drain after every push, under the core lock,
+  /// and nothing borrows or resizes.
+  bool baseline_policy() const { return config_.wake_policy != core::WakePolicy::Pbpl; }
+  /// A baseline wake policy's producer side: does a push that leaves the
+  /// buffer `full` (or not) ask the manager for a drain?
+  bool wants_drain(bool full) const;
+  /// Asks `core`'s manager for an unscheduled drain of `consumer` (at
+  /// most one outstanding per consumer) and wakes it.
+  void request_drain_locked(Core& core, Consumer& consumer);
   /// Drains `consumer` (bulk pops), records stats into the core shard and
   /// makes the next reservation — all under the core lock.  The handler
   /// call is queued on core.pending for run_handlers().
@@ -361,6 +378,9 @@ class ThreadPbpl {
   /// the core lock RELEASED, then re-acquires it.  Producers may push —
   /// and other cores may do anything — while a handler runs.
   void run_handlers(Core& core, std::unique_lock<std::mutex>& lock);
+  /// Books `consumer`'s next wake as config.wake_policy prescribes: the
+  /// planner's slot (Pbpl), the next grid slot (Periodic) or nothing
+  /// (PerItem, OnFull: producers ask for every drain).
   void make_reservation_locked(Core& core, Consumer& consumer, SimTime now);
 
   /// Per-record footprint budget used to translate the item-denominated

@@ -14,6 +14,8 @@ PbplSystem::PbplSystem(sim::Simulator& simulator, std::size_t consumers,
       pool_(std::max<std::size_t>(consumers, 1), config.base_buffer, config.pool_segment) {
   PCPC_ASSERT_MSG(consumers > 0, "PBPL system needs at least one consumer");
   PCPC_ASSERT_MSG(config.cores > 0, "PBPL system needs at least one core");
+  PCPC_ASSERT_MSG(config.wake_policy == WakePolicy::Pbpl,
+                  "the sim host runs only wake_policy=Pbpl");
 
   const SlotTrack track(config_.resolved_slot_size());
   for (std::size_t c = 0; c < config_.cores; ++c) {

@@ -41,13 +41,18 @@ Clock::time_point record_stamp(const std::byte* data) {
 // step, then admit), evict_oldest (drop the head, reporting its payload
 // bytes), pinned (eviction cannot free space right now) and
 // dropped_bytes (payload bytes lost when the incoming one is dropped).
+// kVisibleOnAdmit says whether an admission is already visible to the
+// drain (an item) or only after a later commit (a record), which is
+// where a baseline wake policy asks for its drain.
 
 /// One timestamp item over the consumer's Handoff.
 struct ItemPlane {
+  static constexpr bool kVisibleOnAdmit = true;
   queue::Handoff<Clock::time_point>& buffer;
   Clock::time_point stamp;
 
   bool admit() { return buffer.try_push(stamp); }
+  bool full() const { return buffer.full(); }
   bool borrow() {
     buffer.resize(buffer.capacity() + std::max<std::size_t>(1, buffer.capacity() / 4));
     return admit();
@@ -63,6 +68,7 @@ struct ItemPlane {
 /// One varlen record claim over the consumer's VarHandoff; a successful
 /// admit leaves the claim in `res`.
 struct RecordPlane {
+  static constexpr bool kVisibleOnAdmit = false;
   queue::VarHandoff& var;
   /// Consumer::var_inflight: zero-copy views from the last drain are
   /// still out with the handlers and pin the ring's released cursor.
@@ -335,8 +341,10 @@ void ThreadPbpl::push_one(Consumer& consumer) {
   // into dropped_on_stop by stats(), keeping the accounting identity.
   // Migration never invalidates a fast-path push: the buffer travels with
   // the consumer, so an item landed here is drained wherever it ends up.
-  if (consumer.buffer->lock_free() && running_.load(std::memory_order_acquire) &&
-      consumer.buffer->try_push(stamp)) {
+  // A baseline wake policy decides on a drain after every push, under the
+  // core lock, so its pushes all take the slow path.
+  if (consumer.buffer->lock_free() && !baseline_policy() &&
+      running_.load(std::memory_order_acquire) && consumer.buffer->try_push(stamp)) {
     if (span) {
       obs::note_item_stage(static_cast<std::uint32_t>(consumer.index), core_hint,
                            span_id, obs::ItemStage::kEnqueue, now_ns());
@@ -376,7 +384,8 @@ void ThreadPbpl::push_volley(Consumer& consumer, std::size_t items) {
     const auto stamp = Clock::now();
     std::fill_n(chunk, n, stamp);
     std::size_t accepted = 0;
-    if (consumer.buffer->lock_free() && running_.load(std::memory_order_acquire)) {
+    if (consumer.buffer->lock_free() && !baseline_policy() &&
+        running_.load(std::memory_order_acquire)) {
       accepted = consumer.buffer->try_push_bulk(
           std::span<const Clock::time_point>(chunk, n));
     }
@@ -420,17 +429,30 @@ bool ThreadPbpl::admit_slow(Consumer& consumer, Plane& plane) {
       obs::note_drop(static_cast<std::uint32_t>(consumer.index), path, now_ns());
       return false;
     };
+    // An admitted item is visible to the drain at once, so a baseline
+    // wake policy decides here whether it asks for one; a record decides
+    // at commit_record.
+    const auto admitted = [&] {
+      if constexpr (Plane::kVisibleOnAdmit) {
+        if (baseline_policy() && wants_drain(plane.full())) {
+          request_drain_locked(core, consumer);
+        }
+      }
+      return true;
+    };
     // The runtime already stopped: nothing will ever drain this item.
     // Count it instead of losing it silently.
     if (!running_.load(std::memory_order_relaxed)) {
       return drop(core.stats.dropped_on_stop, obs::DropPath::kOnStop);
     }
-    if (plane.admit()) return true;
+    if (plane.admit()) return admitted();
 
     // Pre-emptive borrow: EmergencyBorrow always tries it first, and the
     // legacy emergency_borrow flag keeps its "borrow before waking"
-    // semantics under every policy.
-    if ((config_.overflow_policy == core::OverflowPolicy::EmergencyBorrow ||
+    // semantics under every overflow policy.  Baseline wake policies
+    // never borrow: their buffers stay at the base share B.
+    if (!baseline_policy() &&
+        (config_.overflow_policy == core::OverflowPolicy::EmergencyBorrow ||
          config_.emergency_borrow) &&
         plane.borrow()) {
       ++core.stats.emergency_borrows;
@@ -453,7 +475,7 @@ bool ThreadPbpl::admit_slow(Consumer& consumer, Plane& plane) {
             obs::note_drop(static_cast<std::uint32_t>(consumer.index),
                            obs::DropPath::kOldest, now_ns());
           }
-          if (plane.admit()) return true;
+          if (plane.admit()) return admitted();
           if (plane.pinned()) break;
         }
         return drop(core.stats.dropped_newest, obs::DropPath::kNewest);
@@ -462,29 +484,19 @@ bool ThreadPbpl::admit_slow(Consumer& consumer, Plane& plane) {
       case core::OverflowPolicy::Block:
       case core::OverflowPolicy::EmergencyBorrow:
         // Forced drain: hand the wakeup to the owning core's manager and
-        // wait for space (this is the unscheduled overflow wakeup).  The
-        // request is raised once per outstanding drain — a spurious wake
-        // of this producer must not be double-counted as a second
-        // overflow — and re-armed only after the manager consumed the
-        // previous one.  running_ is re-checked BEFORE every retry: a
-        // producer woken by stop() may reacquire the lock after the final
-        // drain already emptied the buffer, and an admission at that
-        // point would land where nothing will ever drain again.  Varlen
+        // wait for space (this is the unscheduled overflow wakeup).
+        // running_ is re-checked BEFORE every retry: a producer woken by
+        // stop() may reacquire the lock after the final drain already
+        // emptied the buffer, and an admission at that point would land
+        // where nothing will ever drain again.  Varlen
         // space frees only when run_handlers releases the drained views,
         // which is where that plane's wake comes from.
         do {
           if (!running_.load(std::memory_order_relaxed)) {
             return drop(core.stats.dropped_on_stop, obs::DropPath::kOnStop);
           }
-          if (plane.admit()) return true;
-          if (consumer.overflow_requests == 0) {
-            ++consumer.overflow_requests;
-            core.overflow_pending = true;
-            obs::note_overflow(static_cast<std::uint16_t>(core.index),
-                               static_cast<std::uint32_t>(consumer.index),
-                               obs::OverflowAction::kForcedDrain, now_ns());
-            core.cv.notify_all();
-          }
+          if (plane.admit()) return admitted();
+          request_drain_locked(core, consumer);
           core.producer_cv.wait(lock);
         } while (consumer.core.load(std::memory_order_relaxed) == &core);
         // Migrated away while we slept (migrate() wakes this cv).  The
@@ -494,6 +506,29 @@ bool ThreadPbpl::admit_slow(Consumer& consumer, Plane& plane) {
         break;
     }
   }
+}
+
+bool ThreadPbpl::wants_drain(bool full) const {
+  switch (config_.wake_policy) {
+    case core::WakePolicy::Pbpl: return false;  // only overflow wakes the manager
+    case core::WakePolicy::PerItem: return true;
+    case core::WakePolicy::OnFull:
+    case core::WakePolicy::Periodic: return full;
+  }
+  return false;
+}
+
+void ThreadPbpl::request_drain_locked(Core& core, Consumer& consumer) {
+  // Raised once per outstanding drain (a spurious wake of a blocked
+  // producer must not be double-counted as a second overflow) and
+  // re-armed only after the manager consumed the previous one.
+  if (consumer.overflow_requests != 0) return;
+  ++consumer.overflow_requests;
+  core.overflow_pending = true;
+  obs::note_overflow(static_cast<std::uint16_t>(core.index),
+                     static_cast<std::uint32_t>(consumer.index),
+                     obs::OverflowAction::kForcedDrain, now_ns());
+  core.cv.notify_all();
 }
 
 void ThreadPbpl::produce_record(std::size_t consumer, std::span<const std::byte> payload) {
@@ -530,7 +565,7 @@ void ThreadPbpl::commit_record(std::size_t consumer_index, RecordRef& ref) {
                                     Clock::now().time_since_epoch())
                                     .count();
   std::memcpy(ref.res.data, &stamp_ns, sizeof stamp_ns);
-  if (consumer.var->lock_free()) {
+  if (consumer.var->lock_free() && !baseline_policy()) {
     consumer.var->commit(ref.res);  // in-process: the lease cannot be lost
   } else {
     for (;;) {
@@ -538,6 +573,13 @@ void ThreadPbpl::commit_record(std::size_t consumer_index, RecordRef& ref) {
       std::unique_lock lock(core->mutex);
       if (consumer.core.load(std::memory_order_relaxed) != core) continue;
       consumer.var->commit(ref.res);
+      // The record is visible now: a baseline wake policy's drain
+      // request (full = the ring cannot take another worst-case record).
+      if (baseline_policy() &&
+          wants_drain(consumer.var->size_bytes() + record_budget_ >
+                      consumer.var->capacity_bytes())) {
+        request_drain_locked(*core, consumer);
+      }
       break;
     }
   }
@@ -968,22 +1010,38 @@ void ThreadPbpl::run_handlers(Core& core, std::unique_lock<std::mutex>& lock) {
 }
 
 void ThreadPbpl::make_reservation_locked(Core& core, Consumer& consumer, SimTime now) {
-  // With the varlen plane armed, records ARE the items the control
-  // plane schedules around: translate the ring's byte capacity into
-  // worst-case records (the budget covers payload_max plus the stamp).
-  std::size_t capacity;
-  if (consumer.var != nullptr) {
-    capacity = consumer.var->capacity_bytes() / record_budget_;
-  } else {
-    capacity = consumer.buffer->capacity();
-    if (config_.dynamic_resize) capacity += pool_.free_slots();
+  core::SlotChoice choice;
+  switch (config_.wake_policy) {
+    case core::WakePolicy::PerItem:
+    case core::WakePolicy::OnFull:
+      // Producers ask for every drain; the manager books nothing and
+      // waits on its cv.
+      return;
+    case core::WakePolicy::Periodic:
+      // The k·T timer: the next slot on the grid, whatever was drained.
+      choice.slot = track_.next_after(now);
+      choice.latched = core.reservations.slot_reserved(choice.slot);
+      break;
+    case core::WakePolicy::Pbpl: {
+      // With the varlen plane armed, records ARE the items the control
+      // plane schedules around: translate the ring's byte capacity into
+      // worst-case records (the budget covers payload_max plus the stamp).
+      std::size_t capacity;
+      if (consumer.var != nullptr) {
+        capacity = consumer.var->capacity_bytes() / record_budget_;
+      } else {
+        capacity = consumer.buffer->capacity();
+        if (config_.dynamic_resize) capacity += pool_.free_slots();
+      }
+      choice = consumer.planner.plan(
+          now, track_, core.reservations, capacity, [&](std::size_t want) {
+            return consumer.var != nullptr
+                       ? consumer.var->resize_bytes(want * record_budget_) / record_budget_
+                       : consumer.buffer->resize(want);
+          });
+      break;
+    }
   }
-  const core::SlotChoice choice = consumer.planner.plan(
-      now, track_, core.reservations, capacity, [&](std::size_t want) {
-        return consumer.var != nullptr
-                   ? consumer.var->resize_bytes(want * record_budget_) / record_budget_
-                   : consumer.buffer->resize(want);
-      });
 
   core.reservations.reserve(static_cast<core::ConsumerId>(consumer.index), choice.slot);
   ++core.stats.reservations;

@@ -15,7 +15,6 @@
 #include "pcpc/core/config.hpp"
 #include "pcpc/fault/chaos.hpp"
 #include "pcpc/fault/fault_injector.hpp"
-#include "pcpc/runtime/thread_baselines.hpp"
 #include "pcpc/runtime/thread_pbpl.hpp"
 
 namespace pcpc::runtime {
@@ -107,18 +106,36 @@ TEST(ChaosRuntime, EmergencyBorrowNeverDrops) {
 }
 
 TEST(ChaosRuntime, WatchdogEscalatesOnInjectedSlowHandlers) {
-  // Every batch overruns its slot by 4x; a watchdog at 2x the slot size
-  // must fire, drain immediately, and count the missed deadline — while
-  // still delivering every item.
+  // A watchdog at 2x the slot size must fire, drain immediately, and
+  // count the missed deadline — while still delivering every item.  The
+  // overrun is certain by construction, not by timing: each pair offers
+  // 15 items (below B = 16, so no overflow drain pre-empts the slot
+  // path) before the first slot, whose drain books the next slot at most
+  // 1/r̂ + L ahead with r̂ ≥ 15 / (L + that wake's lateness).  Each of
+  // the two slow handlers then holds the manager for 100 ms, far past
+  // that slot plus the k·Δ = 10 ms allowance unless the first wake ran
+  // more than ~0.9 s late.
   auto config = chaos_config();
   config.cores = 1;
   config.watchdog_factor = 2.0;
   fault::FaultConfig faults;
   faults.seed = 3;
   faults.slow_handler_probability = 1.0;
-  faults.handler_delay = milliseconds(20);
+  faults.handler_delay = milliseconds(100);
   fault::FaultInjector injector(faults);
-  const auto stats = flood(config, 2, 80, &injector);
+  ThreadPbpl runtime(2, config, {}, &injector);
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (int i = 0; i < 15; ++i) runtime.produce(c);
+  }
+  // The escalation lands about L + 200 ms in; the bound only caps a
+  // broken watchdog's wait.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (runtime.stats().missed_deadlines == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  runtime.stop();
+  const auto stats = runtime.stats();
   EXPECT_GT(stats.missed_deadlines, 0u);
   EXPECT_EQ(stats.items, stats.produced);
   EXPECT_GT(injector.stats().slow_batches, 0u);
@@ -308,9 +325,9 @@ TEST(ChaosRuntime, LoadSwingsDriveParkUnparkMigrationRaces) {
 }
 
 TEST(ChaosBaseline, InjectedFaultsConserveItemsToo) {
-  // The baseline hosts take the same injector: bursts add items, stalls
-  // slow the producer, slow handlers hold the pair lock — and blocking
-  // backpressure still delivers everything.
+  // The baseline wake policies take the same injector: bursts add items,
+  // stalls slow the producer, slow handlers stall the manager — and
+  // blocking backpressure still delivers everything.
   fault::FaultConfig faults;
   faults.seed = 77;
   faults.burst_probability = 0.1;
@@ -318,7 +335,12 @@ TEST(ChaosBaseline, InjectedFaultsConserveItemsToo) {
   faults.slow_handler_probability = 0.2;
   faults.handler_delay = milliseconds(2);
   fault::FaultInjector injector(faults);
-  ThreadBaseline baseline(2, 8, SignalPolicy::PerItem, milliseconds(10), &injector);
+  core::PbplConfig config;
+  config.cores = 2;
+  config.base_buffer = 8;
+  config.pool_segment = 8;
+  config.wake_policy = core::WakePolicy::PerItem;
+  ThreadPbpl baseline(2, config, {}, &injector);
   for (int i = 0; i < 100; ++i) baseline.produce(static_cast<std::size_t>(i % 2));
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   baseline.stop();

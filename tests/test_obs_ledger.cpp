@@ -14,7 +14,6 @@
 #include "pcpc/fault/chaos.hpp"
 #include "pcpc/fault/fault_injector.hpp"
 #include "pcpc/obs/obs.hpp"
-#include "pcpc/runtime/thread_baselines.hpp"
 #include "pcpc/runtime/thread_pbpl.hpp"
 #include "pcpc/trace/arrival_process.hpp"
 
@@ -206,13 +205,17 @@ TEST(WakeupLedger, ThreadHostAttributionIsConsistent) {
 }
 
 TEST(WakeupLedger, BaselinesPayEveryWakeup) {
-  // One thread per pair means no latching: the baseline hosts tag every
-  // wakeup paid — this is exactly the cost PBPL amortises away.
+  // One consumer per core means no latching: the baseline wake policies
+  // pay every wakeup — this is exactly the cost PBPL amortises away.
   obs::Session session;
   {
-    runtime::ThreadBaseline baseline(3, /*buffer_capacity=*/64,
-                                     runtime::SignalPolicy::Periodic,
-                                     milliseconds(2));
+    core::PbplConfig config;
+    config.cores = 3;
+    config.base_buffer = 64;
+    config.pool_segment = 16;
+    config.slot_size = milliseconds(2);
+    config.wake_policy = core::WakePolicy::Periodic;
+    runtime::ThreadPbpl baseline(3, config);
     for (int round = 0; round < 100; ++round) {
       for (std::size_t pair = 0; pair < 3; ++pair) baseline.produce(pair);
       std::this_thread::sleep_for(std::chrono::microseconds(500));

@@ -38,6 +38,15 @@ TEST(PbplSystem, ConsumesEveryItem) {
   EXPECT_EQ(result.items, expected);
 }
 
+TEST(PbplSystem, RejectsBaselineWakePolicies) {
+  // The baselines are thread-host wake policies; the sim host must not
+  // silently run PBPL under their name.
+  auto config = test_config();
+  config.wake_policy = WakePolicy::OnFull;
+  const auto traces = uniform_producers(1, 100.0, milliseconds(100));
+  EXPECT_DEATH(run_pbpl(traces, milliseconds(100), config), "wake_policy");
+}
+
 TEST(PbplSystem, TimelinesMatchCoresAndHorizon) {
   const auto traces = uniform_producers(5, 2000.0, seconds(1));
   const PbplResult result = run_pbpl(traces, seconds(1), test_config());

@@ -36,7 +36,6 @@
 #include "pcpc/core/config.hpp"
 #include "pcpc/ipc/shm.hpp"
 #include "pcpc/queue/handoff.hpp"
-#include "pcpc/runtime/thread_baselines.hpp"
 #include "pcpc/runtime/thread_pbpl.hpp"
 
 namespace pcpc::queue {
@@ -50,6 +49,10 @@ constexpr OverflowPolicy kPolicies[] = {OverflowPolicy::Block,
                                         OverflowPolicy::DropOldest,
                                         OverflowPolicy::DropNewest,
                                         OverflowPolicy::EmergencyBorrow};
+constexpr core::WakePolicy kWakePolicies[] = {core::WakePolicy::Pbpl,
+                                              core::WakePolicy::PerItem,
+                                              core::WakePolicy::OnFull,
+                                              core::WakePolicy::Periodic};
 
 const char* policy_name(OverflowPolicy policy) {
   switch (policy) {
@@ -586,9 +589,11 @@ TEST(QueueDifferential, VarlenLosslessPoliciesDropNothing) {
 }
 
 // --- Tier 2: the real thread host keeps produced == items + dropped()
-// exactly, per backend × policy, with concurrent producers. -------------
+// exactly, per backend × overflow policy × wake policy, with concurrent
+// producers. -------------------------------------------------------------
 
-core::PbplConfig runtime_config(BackendKind kind, OverflowPolicy policy) {
+core::PbplConfig runtime_config(BackendKind kind, OverflowPolicy policy,
+                                core::WakePolicy wake = core::WakePolicy::Pbpl) {
   core::PbplConfig config;
   config.cores = 2;
   config.slot_size = milliseconds(5);
@@ -597,6 +602,7 @@ core::PbplConfig runtime_config(BackendKind kind, OverflowPolicy policy) {
   config.pool_segment = 8;
   config.overflow_policy = policy;
   config.queue_backend = kind;
+  config.wake_policy = wake;
   return config;
 }
 
@@ -606,31 +612,34 @@ TEST(QueueDifferential, ThreadHostConservesItemsPerBackendAndPolicy) {
   constexpr std::uint64_t kItems = 400;
   for (const auto kind : kBackends) {
     for (const auto policy : kPolicies) {
-      // The SPSC ring's contract is one producer thread per consumer.
-      const std::size_t producers =
-          kind == BackendKind::SpscRing ? 1 : kProducersPerConsumer;
-      runtime::ThreadPbpl host(kConsumers, runtime_config(kind, policy));
-      std::vector<std::thread> threads;
-      for (std::size_t c = 0; c < kConsumers; ++c) {
-        for (std::size_t p = 0; p < producers; ++p) {
-          threads.emplace_back([&host, c] {
-            for (std::uint64_t i = 0; i < kItems; ++i) host.produce(c);
-          });
+      for (const auto wake : kWakePolicies) {
+        // The SPSC ring's contract is one producer thread per consumer.
+        const std::size_t producers =
+            kind == BackendKind::SpscRing ? 1 : kProducersPerConsumer;
+        runtime::ThreadPbpl host(kConsumers, runtime_config(kind, policy, wake));
+        std::vector<std::thread> threads;
+        for (std::size_t c = 0; c < kConsumers; ++c) {
+          for (std::size_t p = 0; p < producers; ++p) {
+            threads.emplace_back([&host, c] {
+              for (std::uint64_t i = 0; i < kItems; ++i) host.produce(c);
+            });
+          }
         }
-      }
-      for (auto& t : threads) t.join();
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      host.stop();
-      const auto stats = host.stats();
-      const std::string label = std::string(backend_name(kind)) + "/" +
-                                policy_name(policy);
-      EXPECT_EQ(stats.produced, kConsumers * producers * kItems) << label;
-      EXPECT_EQ(stats.produced, stats.items + stats.dropped()) << label;
-      if (policy == OverflowPolicy::Block || policy == OverflowPolicy::EmergencyBorrow) {
-        // Lossless policies may only lose items to the stop() race, and
-        // those are accounted as dropped_on_stop — never silently.
-        EXPECT_EQ(stats.dropped_oldest, 0u) << label;
-        EXPECT_EQ(stats.dropped_newest, 0u) << label;
+        for (auto& t : threads) t.join();
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        host.stop();
+        const auto stats = host.stats();
+        const std::string label = std::string(backend_name(kind)) + "/" +
+                                  policy_name(policy) + "/wake" +
+                                  std::to_string(static_cast<int>(wake));
+        EXPECT_EQ(stats.produced, kConsumers * producers * kItems) << label;
+        EXPECT_EQ(stats.produced, stats.items + stats.dropped()) << label;
+        if (policy == OverflowPolicy::Block || policy == OverflowPolicy::EmergencyBorrow) {
+          // Lossless policies may only lose items to the stop() race, and
+          // those are accounted as dropped_on_stop — never silently.
+          EXPECT_EQ(stats.dropped_oldest, 0u) << label;
+          EXPECT_EQ(stats.dropped_newest, 0u) << label;
+        }
       }
     }
   }
@@ -640,10 +649,14 @@ TEST(QueueDifferential, BaselineHostConservesItemsPerBackend) {
   constexpr std::size_t kPairs = 2;
   constexpr std::uint64_t kItems = 300;
   for (const auto kind : kBackends) {
-    for (const auto policy :
-         {runtime::SignalPolicy::PerItem, runtime::SignalPolicy::OnFull}) {
-      runtime::ThreadBaseline host(kPairs, /*buffer_capacity=*/16, policy,
-                                   milliseconds(10), /*injector=*/nullptr, kind);
+    for (const auto wake : {core::WakePolicy::PerItem, core::WakePolicy::OnFull}) {
+      core::PbplConfig config;
+      config.cores = kPairs;
+      config.base_buffer = 16;
+      config.pool_segment = 8;
+      config.queue_backend = kind;
+      config.wake_policy = wake;
+      runtime::ThreadPbpl host(kPairs, config);
       std::vector<std::thread> producers;
       for (std::size_t pair = 0; pair < kPairs; ++pair) {
         producers.emplace_back([&host, pair] {

@@ -149,60 +149,73 @@ TEST(RuntimeSharding, RecordConservationAcrossPoliciesAndBackends) {
                                      OverflowPolicy::EmergencyBorrow};
   const BackendKind backends[] = {BackendKind::Mutex, BackendKind::SpscRing,
                                   BackendKind::MpscSeg};
+  const core::WakePolicy wakes[] = {core::WakePolicy::Pbpl, core::WakePolicy::PerItem,
+                                    core::WakePolicy::OnFull, core::WakePolicy::Periodic};
   for (const OverflowPolicy policy : policies) {
     for (const BackendKind backend : backends) {
-      SCOPED_TRACE(testing::Message() << "policy=" << static_cast<int>(policy)
-                                      << " backend=" << static_cast<int>(backend));
-      auto config = sharding_config();
-      config.overflow_policy = policy;
-      config.queue_backend = backend;
-      config.emergency_borrow = false;
-      config.payload_max_bytes = 200;
-      config.payload_ring_bytes = 1024;
-      std::atomic<std::uint64_t> handled_bytes{0};
-      std::atomic<std::uint64_t> offered_bytes{0};
-      ThreadPbpl runtime(2, config);
-      runtime.set_record_handler([&](std::size_t, std::span<const std::byte> payload) {
-        handled_bytes.fetch_add(payload.size(), std::memory_order_relaxed);
-      });
+      for (const core::WakePolicy wake : wakes) {
+        SCOPED_TRACE(testing::Message() << "policy=" << static_cast<int>(policy)
+                                        << " backend=" << static_cast<int>(backend)
+                                        << " wake=" << static_cast<int>(wake));
+        auto config = sharding_config();
+        config.overflow_policy = policy;
+        config.queue_backend = backend;
+        config.wake_policy = wake;
+        config.emergency_borrow = false;
+        config.payload_max_bytes = 200;
+        config.payload_ring_bytes = 1024;
+        std::atomic<std::uint64_t> handled_bytes{0};
+        std::atomic<std::uint64_t> offered_bytes{0};
+        ThreadPbpl runtime(2, config);
+        runtime.set_record_handler([&](std::size_t, std::span<const std::byte> payload) {
+          handled_bytes.fetch_add(payload.size(), std::memory_order_relaxed);
+        });
 
-      const std::size_t per_consumer = backend == BackendKind::SpscRing ? 1 : 2;
-      constexpr std::uint64_t kRecords = 1500;
-      std::vector<std::thread> producers;
-      for (std::size_t consumer = 0; consumer < 2; ++consumer) {
-        for (std::size_t t = 0; t < per_consumer; ++t) {
-          producers.emplace_back([&, consumer, t] {
-            std::mt19937 rng(static_cast<std::uint32_t>(31 * consumer + t));
-            std::vector<std::byte> payload(config.payload_max_bytes, std::byte{0x5a});
-            for (std::uint64_t i = 0; i < kRecords; ++i) {
-              const std::size_t bytes = 1 + rng() % config.payload_max_bytes;
-              offered_bytes.fetch_add(bytes, std::memory_order_relaxed);
-              if (i % 2 == 0) {
-                runtime.produce_record(consumer,
-                                       std::span<const std::byte>(payload.data(), bytes));
-              } else if (auto ref = runtime.reserve_record(consumer, bytes)) {
-                std::fill(ref->payload.begin(), ref->payload.end(), std::byte{0xa5});
-                runtime.commit_record(consumer, *ref);
+        const std::size_t per_consumer = backend == BackendKind::SpscRing ? 1 : 2;
+        constexpr std::uint64_t kRecords = 1500;
+        std::vector<std::thread> producers;
+        for (std::size_t consumer = 0; consumer < 2; ++consumer) {
+          for (std::size_t t = 0; t < per_consumer; ++t) {
+            producers.emplace_back([&, consumer, t] {
+              std::mt19937 rng(static_cast<std::uint32_t>(31 * consumer + t));
+              std::vector<std::byte> payload(config.payload_max_bytes, std::byte{0x5a});
+              for (std::uint64_t i = 0; i < kRecords; ++i) {
+                const std::size_t bytes = 1 + rng() % config.payload_max_bytes;
+                offered_bytes.fetch_add(bytes, std::memory_order_relaxed);
+                if (i % 2 == 0) {
+                  runtime.produce_record(consumer,
+                                         std::span<const std::byte>(payload.data(), bytes));
+                } else if (auto ref = runtime.reserve_record(consumer, bytes)) {
+                  std::fill(ref->payload.begin(), ref->payload.end(), std::byte{0xa5});
+                  runtime.commit_record(consumer, *ref);
+                }
               }
-            }
-          });
+            });
+          }
         }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      runtime.stop();  // lands mid-flood on purpose
-      for (auto& producer : producers) producer.join();
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        runtime.stop();  // lands mid-flood on purpose
+        for (auto& producer : producers) producer.join();
 
-      const auto stats = runtime.stats();
-      EXPECT_EQ(stats.produced, 2 * per_consumer * kRecords);
-      EXPECT_EQ(stats.produced, stats.items + stats.dropped());
-      EXPECT_EQ(stats.produced_bytes, offered_bytes.load());
-      EXPECT_EQ(stats.produced_bytes, stats.consumed_bytes + stats.dropped_bytes);
-      EXPECT_EQ(handled_bytes.load(), stats.consumed_bytes);
-      switch (policy) {
-        case OverflowPolicy::Block: EXPECT_GT(stats.overflow_wakeups, 0u); break;
-        case OverflowPolicy::DropOldest: EXPECT_GT(stats.dropped_oldest, 0u); break;
-        case OverflowPolicy::DropNewest: EXPECT_GT(stats.dropped_newest, 0u); break;
-        case OverflowPolicy::EmergencyBorrow: EXPECT_GT(stats.emergency_borrows, 0u); break;
+        const auto stats = runtime.stats();
+        EXPECT_EQ(stats.produced, 2 * per_consumer * kRecords);
+        EXPECT_EQ(stats.produced, stats.items + stats.dropped());
+        EXPECT_EQ(stats.produced_bytes, offered_bytes.load());
+        EXPECT_EQ(stats.produced_bytes, stats.consumed_bytes + stats.dropped_bytes);
+        EXPECT_EQ(handled_bytes.load(), stats.consumed_bytes);
+        switch (policy) {
+          case OverflowPolicy::Block: EXPECT_GT(stats.overflow_wakeups, 0u); break;
+          case OverflowPolicy::DropOldest: EXPECT_GT(stats.dropped_oldest, 0u); break;
+          case OverflowPolicy::DropNewest: EXPECT_GT(stats.dropped_newest, 0u); break;
+          case OverflowPolicy::EmergencyBorrow:
+            // The baseline wake policies never borrow: each ring stays at B.
+            if (wake == core::WakePolicy::Pbpl) {
+              EXPECT_GT(stats.emergency_borrows, 0u);
+            } else {
+              EXPECT_EQ(stats.emergency_borrows, 0u);
+            }
+            break;
+        }
       }
     }
   }
